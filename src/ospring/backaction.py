@@ -18,12 +18,11 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from . import cavity as cav
 from . import transfer_optics as to
 from .cavity import EffectiveCavity
-from .params import InterferometerConfig, MirrorParams
+from .params import C_LIGHT, InterferometerConfig, MirrorParams
 
 
 @dataclass(frozen=True)
@@ -313,7 +312,7 @@ def canonical_features_check(
 
     The detuning grid must be symmetric about zero.
     """
-    from .stability import find_zero_crossings  # local import, avoids a cycle
+    from .stability import _scan_grid, _sign_change_zeros  # local import, avoids a cycle
 
     delta = np.asarray(detuning, dtype=float)
     if not np.allclose(delta, -delta[::-1], rtol=0.0, atol=1e-9 * max(abs(delta[0]), 1.0)):
@@ -323,11 +322,14 @@ def canonical_features_check(
         scale = np.max(np.abs(values))
         return bool(np.max(np.abs(values + values[::-1])) <= antisymmetry_tol * scale)
 
-    spring_i = _grid_interpolant(delta, spring)
-    damping_i = _grid_interpolant(delta, damping)
-    span = (float(delta[0]), float(delta[-1]))
-    spring_zeros = find_zero_crossings(spring_i, *span, n_scan=delta.size)
-    damping_zeros = find_zero_crossings(damping_i, *span, n_scan=delta.size)
+    grid, xtol = _scan_grid(float(delta[0]), float(delta[-1]), delta.size)
+
+    def zeros_of(values):
+        scan = np.interp(grid, delta, values)
+        return _sign_change_zeros(_grid_interpolant(delta, values), grid, scan, xtol)
+
+    spring_zeros = zeros_of(spring)
+    damping_zeros = zeros_of(damping)
 
     below = delta < -1e-3 * half_linewidth
     return CanonicalFeatureReport(

@@ -18,10 +18,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from . import transfer_optics as to
-from .params import BeamsplitterParams, InterferometerConfig, MirrorParams
+from .params import C_LIGHT, BeamsplitterParams, InterferometerConfig, MirrorParams
 
 NARROWBAND_WARN = 0.1
 

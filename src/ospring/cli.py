@@ -22,7 +22,7 @@ from . import cavity as cav
 from . import noise as noi
 from . import stability as st
 from . import transfer_optics as to
-from .params import BeamsplitterParams, Geometry, MirrorParams
+from .params import C_LIGHT, BeamsplitterParams, Geometry, MirrorParams
 from .runconfig import (
     DETUNING_KEYS,
     OMEGA_SWEEP_KEYS,
@@ -367,7 +367,7 @@ def cmd_validate(run: RunConfig, args) -> int:
         return np.max(np.abs(moved - base)) <= 1e-9 * np.max(np.abs(base))
 
     def kernel_oracle():
-        tau_sq = 4.0 * cavity.membrane_half_linewidth * config.geometry.cavity_length / to.C_LIGHT
+        tau_sq = 4.0 * cavity.membrane_half_linewidth * config.geometry.cavity_length / C_LIGHT
         if config.srm.transmissivity**2 > 0.01 or tau_sq > 0.01 or config.bs.asymmetry != 0.0:
             return True  # outside the narrow-band regime the comparison is not meaningful
         omega = np.linspace(0.1, 3.0, 31) * gamma

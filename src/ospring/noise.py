@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 from . import cavity as cav
 from . import transfer_optics as to
-from .params import InterferometerConfig
+from .params import C_LIGHT, HBAR, InterferometerConfig
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import c as C_LIGHT
+# Both are exact under the 2019 SI (CODATA 2018), so literals lose nothing.
+C_LIGHT = 299792458.0  # speed of light in vacuum, m/s
+HBAR = 6.62607015e-34 / (2.0 * math.pi)  # reduced Planck constant, J s
 
 LOSSLESS_TOL = 1e-12
 

@@ -44,7 +44,7 @@ def _parse_float(text: str) -> float:
 
 def _parse_int(text: str) -> int:
     value = float(text)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ValueError(f"{text!r} is not an integer")
     return int(value)
 

@@ -14,13 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.optimize import brentq
 
 from . import backaction as ba
 from . import cavity as cav
 from .cavity import EffectiveCavity
-from .params import InterferometerConfig, MechanicalOscillator, MirrorParams
+from .params import C_LIGHT, InterferometerConfig, MechanicalOscillator, MirrorParams
 
 REGIME_LABELS = ("cooling", "heating", "stable_spring", "unstable_spring", "neutral")
 NEUTRAL_FLOOR = 1e-12
@@ -37,12 +35,25 @@ def find_zero_crossings(f, lo: float, hi: float, n_scan: int = 512, xtol: float 
     (no sign change) are not claimed.  The default refinement tolerance is
     1e-9 of the interval's outer scale.
     """
+    grid, default_xtol = _scan_grid(lo, hi, n_scan)
+    if xtol is None:
+        xtol = default_xtol
+    elif not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol!r}")
+    values = np.array([f(x) for x in grid], dtype=float)
+    return _sign_change_zeros(f, grid, values, xtol)
+
+
+def _scan_grid(lo: float, hi: float, n_scan: int):
+    """Scan grid of :func:`find_zero_crossings` and its default tolerance."""
     if n_scan < 64:
         raise ValueError("need at least 64 scan points")
-    if xtol is None:
-        xtol = 1e-9 * max(abs(lo), abs(hi))
-    grid = np.linspace(lo, hi, n_scan + 1)
-    values = np.array([f(x) for x in grid], dtype=float)
+    return np.linspace(lo, hi, n_scan + 1), 1e-9 * max(abs(lo), abs(hi))
+
+
+def _sign_change_zeros(f, grid, values, xtol: float):
+    """Zeros of the scalar ``f`` where its samples ``values`` on ``grid``
+    change sign, each refined to within ``xtol``; sorted."""
     if not np.all(np.isfinite(values)):
         raise ValueError("function must be finite on the scan range")
 
@@ -57,10 +68,52 @@ def find_zero_crossings(f, lo: float, hi: float, n_scan: int = 512, xtol: float 
         after = signs[idx + 1 :][signs[idx + 1 :] != 0.0]
         if before.size and after.size and before[-1] * after[0] < 0.0:
             zeros.append(grid[idx])
-    for i in range(n_scan):
-        if signs[i] * signs[i + 1] < 0.0:
-            zeros.append(brentq(f, grid[i], grid[i + 1], xtol=xtol))
+    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
+        zeros.append(_refine_root(f, grid[i], grid[i + 1], values[i], values[i + 1], xtol))
     return np.array(sorted(zeros))
+
+
+def _refine_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """Root of ``f`` in the bracket (a, b), where ``fa`` and ``fb`` differ in
+    sign, by the Illinois variant of regula falsi.
+
+    The value kept at an endpoint that survives two steps in a row is halved,
+    which stops the stale endpoint from freezing the bracket.  A step that
+    would leave the open bracket, or one that follows three steps which have
+    not halved the bracket, is a bisection, so the width halves at least
+    every four evaluations.  Stops when the bracket is at most ``2 * xtol``
+    wide or its midpoint no longer splits it, and returns the midpoint.
+    """
+    a_negative = fa < 0.0  # halving may underflow fa to zero; the side stays
+    kept = 0  # +1: a was kept by the last step, -1: b was
+    slow = 0
+    width = b - a
+    while True:
+        mid = 0.5 * (a + b)
+        if b - a <= 2.0 * xtol or not a < mid < b:
+            return float(mid)
+        x = b - fb * (b - a) / (fb - fa)
+        if slow >= 3 or not a < x < b:
+            x = mid
+        fx = float(f(x))
+        if fx == 0.0:
+            return float(x)
+        if not np.isfinite(fx):
+            raise ValueError("function must be finite on the scan range")
+        if (fx < 0.0) == a_negative:
+            a, fa = x, fx
+            if kept < 0:
+                fb *= 0.5
+            kept = -1
+        else:
+            b, fb = x, fx
+            if kept > 0:
+                fa *= 0.5
+            kept = 1
+        if b - a <= 0.5 * width:
+            width, slow = b - a, 0
+        else:
+            slow += 1
 
 
 def characteristic_polynomial(
@@ -234,9 +287,13 @@ def stability_report(
     def damping_of(d):
         return float(_spring_damping_sweep(config, d, omega_eval)[1])
 
+    # the scan is one broadcast; the kernel is rational in the detuning, so its
+    # samples are the same bits that the scalar functions above return
     lo, hi = float(deltas[0]), float(deltas[-1])
-    spring_zeros = find_zero_crossings(spring_of, lo, hi, n_scan)
-    damping_zeros = find_zero_crossings(damping_of, lo, hi, n_scan)
+    grid, xtol = _scan_grid(lo, hi, n_scan)
+    scan_spring, scan_damping = _spring_damping_sweep(config, grid, omega_eval)
+    spring_zeros = _sign_change_zeros(spring_of, grid, scan_spring, xtol)
+    damping_zeros = _sign_change_zeros(damping_of, grid, scan_damping, xtol)
 
     boundaries = np.concatenate(([lo], np.sort(np.concatenate([spring_zeros, damping_zeros])), [hi]))
     windows = []

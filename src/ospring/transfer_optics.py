@@ -18,7 +18,6 @@ Two phase conventions coexist:
 from __future__ import annotations
 
 import numpy as np
-from scipy.constants import c as C_LIGHT  # noqa: F401  (re-exported for the sibling modules)
 
 from .params import BeamsplitterParams, Geometry, MirrorParams
 

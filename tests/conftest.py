@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.constants import c as C_LIGHT, hbar as HBAR
 
 from ospring import cavity as cav
 from ospring.params import (
+    C_LIGHT,
+    HBAR,
     BeamsplitterParams,
     Geometry,
     InterferometerConfig,

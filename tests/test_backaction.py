@@ -3,12 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.constants import c as C_LIGHT
 
 from ospring import backaction as ba
 from ospring import cavity as cav
 from ospring.cavity import EffectiveCavity
-from ospring.params import MirrorParams
+from ospring.params import C_LIGHT, MirrorParams
 
 from conftest import WAVELENGTH, static_kernel_oracle
 

@@ -3,11 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.constants import c as C_LIGHT
 
 from ospring import cavity as cav
 from ospring import transfer_optics as to
-from ospring.params import BeamsplitterParams, InterferometerConfig, MirrorParams
+from ospring.params import C_LIGHT, BeamsplitterParams, InterferometerConfig, MirrorParams
 
 from conftest import WAVELENGTH
 

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ospring
 from ospring import cli
 from ospring.presets import PRESET_METHODS, PRESET_NAMES, PRESET_SUBCOMMANDS, preset_path
 
@@ -40,6 +44,18 @@ def test_duplicate_key_exit_code(tmp_path, capsys):
         Path(preset_path("fig2c")).read_text() + "\n[physical]\n",
     )
     assert run_cli("cavity", "--config", cfg) == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+@pytest.mark.parametrize("line", ["points = 241", "dark_port_index = 3"])
+def test_non_finite_integer_is_validation_exit(tmp_path, capsys, line, value):
+    text = Path(preset_path("fig2c")).read_text()
+    assert line in text
+    key = line.split(" = ")[0]
+    cfg = write_cfg(tmp_path, text.replace(line, f"{key} = {value}"))
+    assert run_cli("backaction", "--config", cfg, "--method", "narrowband") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ospring:") and f"'{key}'" in err
 
 
 def test_stability_requires_mass(tmp_path, capsys):
@@ -248,4 +264,30 @@ def test_golden_presets_regenerate_bit_exactly(tmp_path, name):
     if name in PRESET_METHODS:
         argv += ["--method", PRESET_METHODS[name]]
     assert run_cli(*argv) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+NO_SCIPY_SCRIPT = """
+import runpy, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import ospring.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert loaded == ["scipy"], loaded  # only the blocking placeholder
+sys.argv = ["ospring"] + sys.argv[1:]
+runpy.run_module("ospring.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("name", ["fig2c", "fig2d"])
+def test_runtime_needs_no_scipy(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    argv = [PRESET_SUBCOMMANDS[name], "--config", preset_path(name), "--out", str(out),
+            "--method", PRESET_METHODS[name]]
+    src = str(Path(ospring.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()

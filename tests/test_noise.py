@@ -4,12 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.constants import hbar as HBAR
 
 from ospring import backaction as ba
 from ospring import cavity as cav
 from ospring import noise as noi
-from ospring.params import MirrorParams
+from ospring.params import HBAR, MirrorParams
 
 from conftest import matrix_noise_density, random_config
 

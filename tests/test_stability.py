@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ospring import backaction as ba
 from ospring import cavity as cav
@@ -67,6 +69,61 @@ def test_zero_crossings_edge_cases():
         st.find_zero_crossings(lambda x: x, -1.0, 1.0, 32)
     with pytest.raises(ValueError):
         st.find_zero_crossings(lambda x: float("nan"), -1.0, 1.0, 64)
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1e-12, float("nan")])
+def test_zero_crossings_reject_non_positive_xtol(xtol):
+    with pytest.raises(ValueError, match="xtol"):
+        st.find_zero_crossings(lambda x: x - 0.3, -1.0, 1.0, 64, xtol=xtol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=hst.lists(hst.floats(-0.95, 0.95), min_size=1, max_size=5),
+    scale=hst.floats(1e-3, 1e7),
+    amplitude=hst.sampled_from([-1e-20, -2.5, 1.0, 3e8]),
+    rel_xtol=hst.sampled_from([None, 1e-13, 1e-11, 1e-6]),
+)
+def test_zero_crossings_find_every_simple_root(roots, scale, amplitude, rel_xtol):
+    roots = np.sort(roots)
+    # well separated: every scan interval (2/512 wide) holds at most one root
+    assume(np.all(np.diff(roots) > 0.02))
+    roots = roots * scale
+
+    def product(x):
+        return amplitude * math.prod(x - r for r in roots)
+
+    xtol = None if rel_xtol is None else rel_xtol * scale
+    zeros = st.find_zero_crossings(product, -scale, scale, 512, xtol=xtol)
+    assert zeros.size == roots.size
+    bound = 1e-9 * scale if xtol is None else xtol
+    assert np.all(np.abs(zeros - roots) <= bound)
+
+
+def test_stability_report_zeros_match_public_scan(narrow_config):
+    cavity = cav.effective_cavity(narrow_config)
+    gamma = cavity.half_linewidth
+    oscillator = MechanicalOscillator(8e-11, 2 * math.pi * 133e3, 2 * math.pi * 0.1)
+    deltas = np.linspace(-3 * gamma, 3 * gamma, 241)
+    args = (
+        narrow_config.membrane,
+        narrow_config.input_power,
+        narrow_config.geometry.carrier_omega,
+        narrow_config.geometry.cavity_length,
+    )
+    for omega in (None, oscillator.resonance_frequency):
+        def curves(d):
+            if omega is None:
+                return ba.spring_damping_dc(cavity, *args, detuning=d)
+            return ba.spring_damping(ba.kernel_narrowband(cavity, *args, omega, detuning=d), omega)
+
+        report = st.stability_report(narrow_config, oscillator, deltas, omega)
+        for which, zeros in enumerate((report.spring_zeros, report.damping_zeros)):
+            public = st.find_zero_crossings(
+                lambda d: float(curves(d)[which]), deltas[0], deltas[-1], 1024
+            )
+            assert zeros.size > 0
+            assert np.array_equal(zeros, public)
 
 
 def test_zero_crossings_grid_refinement_stable(geometry):
