@@ -14,11 +14,8 @@ from .transfer_optics import (
     beamsplitter_matrix,
     effective_mirror,
     field_matrices,
-    invert_2x2,
     membrane_matrix,
     msi_matrix,
-    propagation_matrices,
-    recycling_resolvent,
 )
 from .cavity import (
     EffectiveCavity,
@@ -33,16 +30,12 @@ from .cavity import (
 )
 from .noise import NoiseSpectrum, back_action_spectrum, spectral_asymmetry
 from .backaction import (
-    BackActionResponse,
     CanonicalFeatureReport,
     canonical_features_check,
-    damping_at_dc,
-    exact_response,
     free_mass_spring_damping,
     kernel_exact,
     kernel_narrowband,
     kernel_narrowband_config,
-    narrowband_response,
     spring_damping,
     spring_damping_dc,
 )
@@ -55,7 +48,6 @@ from .stability import (
     find_zero_crossings,
     regime_map,
     roots_stable,
-    routh_hurwitz,
     routh_hurwitz_stable,
     stability_report,
 )

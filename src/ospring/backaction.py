@@ -25,17 +25,6 @@ from .cavity import EffectiveCavity
 from .params import C_LIGHT, InterferometerConfig, MirrorParams
 
 
-@dataclass(frozen=True)
-class BackActionResponse:
-    """Kernel samples over a positive frequency grid with K and Gamma split off."""
-
-    omega: np.ndarray
-    kernel: np.ndarray
-    spring: np.ndarray
-    damping: np.ndarray
-    method: str
-
-
 def spring_damping(kernel, omega):
     """Split a kernel sample into spring K = Re and damping = -Im/(2*omega)."""
     k = np.asarray(kernel)
@@ -105,7 +94,7 @@ def kernel_exact(config: InterferometerConfig, omega, arm_gauge: float = 0.0):
     om = np.asarray(omega, dtype=float)
     d0 = complex(cav.resonance_denominator(config, 0.0))
     propagators = cav.sideband_propagators(config, 0.0, arm_gauge)
-    m_inc, m_ref, _ = to.field_matrices(
+    m_inc, m_ref = to.field_matrices(
         config.membrane, config.bs, config.srm, *propagators, denominator=d0
     )
     a1, a2 = m_inc[0, 0], m_inc[1, 0]
@@ -123,6 +112,11 @@ def kernel_exact(config: InterferometerConfig, omega, arm_gauge: float = 0.0):
     lower = static - 2.0 * _feedback_term(config, -om, y)
     scale = 2j * config.geometry.wavenumber / C_LIGHT * rm * config.input_power
     return scale * (upper - np.conj(lower))
+
+
+def _gain(membrane: MirrorParams, input_power: float, carrier_omega: float, cavity_length: float):
+    """Kernel prefactor 4*omega0*r_m^2*P/(c*Lc) shared by the narrow-band laws."""
+    return 4.0 * carrier_omega * membrane.reflectivity**2 * input_power / (C_LIGHT * cavity_length)
 
 
 def kernel_narrowband(
@@ -149,10 +143,7 @@ def kernel_narrowband(
     delta_sr = delta - delta_m
 
     lorentz = gamma**2 + delta**2
-    prefactor = (
-        4.0 * carrier_omega * membrane.reflectivity**2 * input_power
-        / (C_LIGHT * cavity_length)
-    )
+    prefactor = _gain(membrane, input_power, carrier_omega, cavity_length)
     braces = (
         delta_sr * (lorentz - 4.0 * (gamma * gamma_m + delta * delta_m))
         + 2j * (gamma_sr * delta_m + gamma_m * delta_sr) * om
@@ -196,10 +187,7 @@ def spring_damping_dc(
     delta_sr = delta - delta_m
 
     lorentz = gamma**2 + delta**2
-    prefactor = (
-        4.0 * carrier_omega * membrane.reflectivity**2 * input_power
-        / (C_LIGHT * cavity_length)
-    )
+    prefactor = _gain(membrane, input_power, carrier_omega, cavity_length)
     reduced = lorentz - 4.0 * (gamma * gamma_m + delta * delta_m)
     spring = prefactor * delta_sr * reduced / lorentz**2
     damping = (
@@ -229,10 +217,7 @@ def free_mass_spring_damping(
     gamma = cavity.half_linewidth
     gamma_m = cavity.membrane_half_linewidth
     lorentz = gamma**2 + delta**2
-    prefactor = (
-        4.0 * carrier_omega * membrane.reflectivity**2 * input_power
-        / (C_LIGHT * cavity_length)
-    )
+    prefactor = _gain(membrane, input_power, carrier_omega, cavity_length)
     spring = prefactor * delta / lorentz * (1.0 - 4.0 * gamma * gamma_m / lorentz)
     damping = (
         -prefactor
@@ -242,37 +227,6 @@ def free_mass_spring_damping(
         * (1.0 - (gamma_m / gamma) * (3.0 * gamma**2 - delta**2) / lorentz)
     )
     return spring, damping
-
-
-def damping_at_dc(kernel_fn, half_linewidth: float) -> float:
-    """Zero-frequency damping by one-sided finite difference with one
-    Richardson refinement; the direct ratio is singular at zero."""
-    step = 1e-6 * half_linewidth
-
-    def damping_at(om):
-        return -np.imag(kernel_fn(om)) / (2.0 * om)
-
-    return float((4.0 * damping_at(step / 2.0) - damping_at(step)) / 3.0)
-
-
-def exact_response(config: InterferometerConfig, omega) -> BackActionResponse:
-    """Exact-kernel response over a positive frequency grid."""
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(om <= 0.0):
-        raise ValueError("response grids must be strictly positive in frequency")
-    kernel = kernel_exact(config, om)
-    spring, damping = spring_damping(kernel, om)
-    return BackActionResponse(om, kernel, spring, damping, "exact")
-
-
-def narrowband_response(config: InterferometerConfig, omega) -> BackActionResponse:
-    """Narrow-band response over a positive frequency grid."""
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(om <= 0.0):
-        raise ValueError("response grids must be strictly positive in frequency")
-    kernel = kernel_narrowband_config(config, om)
-    spring, damping = spring_damping(kernel, om)
-    return BackActionResponse(om, kernel, spring, damping, "narrowband")
 
 
 @dataclass(frozen=True)

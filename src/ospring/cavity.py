@@ -144,8 +144,8 @@ def sideband_propagators(config: InterferometerConfig, omega: float, arm_gauge: 
 def membrane_field_matrices(config: InterferometerConfig, omega: float, arm_gauge: float = 0.0):
     """Tuned input -> membrane-face field maps at sideband frequency omega.
 
-    omega = 0 gives the mean-field maps.  Returns ``(m_inc, m_ref, m_fb)``
-    as in :func:`ospring.transfer_optics.field_matrices`.
+    omega = 0 gives the mean-field maps.  Returns ``(m_inc, m_ref)`` as in
+    :func:`ospring.transfer_optics.field_matrices`.
     """
     p_arm, p_fold, p_sr = sideband_propagators(config, omega, arm_gauge)
     return to.field_matrices(
@@ -230,7 +230,6 @@ class EffectiveCavity:
     half_linewidth_exact: float
     srm_half_linewidth: float
     membrane_half_linewidth: float
-    reflection_phase_offset: float
 
     @classmethod
     def from_rates(
@@ -250,7 +249,6 @@ class EffectiveCavity:
             half_linewidth_exact=gamma,
             srm_half_linewidth=srm_half_linewidth,
             membrane_half_linewidth=membrane_half_linewidth,
-            reflection_phase_offset=0.0,
         )
 
 
@@ -262,11 +260,7 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
 
     psi = imbalance_phase(config)
     _, rho2, tau = to.effective_mirror(config.membrane, config.bs, psi)
-    _, rho2_dp, _ = to.effective_mirror(
-        config.membrane,
-        config.bs,
-        dark_port_phase(config.membrane, config.bs, config.dark_port_index),
-    )
+    _, rho2_dp = dark_port_carrier(config)
 
     tau_sq = abs(complex(tau)) ** 2
     if t_sr**2 > NARROWBAND_WARN or tau_sq > NARROWBAND_WARN:
@@ -281,7 +275,7 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     gamma_exact = C_LIGHT * (1.0 - config.srm.reflectivity * abs(complex(rho2))) / (2.0 * lc)
 
     # arg of the ratio keeps the offset continuous through zero offset
-    phase_offset = cmath.phase(complex(rho2) * complex(rho2_dp).conjugate())
+    phase_offset = cmath.phase(complex(rho2) * rho2_dp.conjugate())
     membrane_detuning = C_LIGHT * phase_offset / (2.0 * lc)
 
     return EffectiveCavity(
@@ -292,7 +286,6 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
         half_linewidth_exact=gamma_exact,
         srm_half_linewidth=gamma_sr,
         membrane_half_linewidth=gamma_m,
-        reflection_phase_offset=phase_offset,
     )
 
 

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 I/O or parse errors, 2 validation failures.
 CSV contract: comma separator, dot decimal, LF line endings, UTF-8, one
 header row, shortest round-trip float formatting.  JSON output mirrors the
 CSV columns as arrays next to a ``meta`` block with the resolved SI
-parameters.  OSPRING_THREADS caps worker threads for grid evaluation.
+parameters.  OSPRING_THREADS is accepted and validated; evaluation is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -127,14 +128,10 @@ def _single_sweep(run: RunConfig, kinds) -> "SweepSpec":
     return sweep
 
 
-def _omega_grid(sweep, gamma: float) -> np.ndarray:
+def _scaled_grid(sweep, gamma: float) -> np.ndarray:
+    """Sweep grid, in rad/s when the variable is given in linewidth units."""
     grid = sweep.grid()
-    return grid * gamma if sweep.variable == "omega_over_gamma" else grid
-
-
-def _detuning_grid(sweep, gamma: float) -> np.ndarray:
-    grid = sweep.grid()
-    return grid * gamma if sweep.variable == "detuning_over_gamma" else grid
+    return grid * gamma if sweep.variable.endswith("_over_gamma") else grid
 
 
 def _analysis_frequency(run: RunConfig) -> float:
@@ -145,15 +142,15 @@ def _analysis_frequency(run: RunConfig) -> float:
     return 2.0 * math.pi * run.physical["mech_freq_hz"]
 
 
-def _max_workers() -> int | None:
+def _check_threads() -> None:
+    """OSPRING_THREADS is validated but changes nothing: evaluation is serial."""
     raw = os.environ.get("OSPRING_THREADS", "").strip()
     if not raw:
-        return None
+        return
     try:
-        value = int(raw)
+        int(raw)
     except ValueError as exc:
         raise ValidationError(f"OSPRING_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 def cmd_darkport(run: RunConfig, args) -> int:
@@ -195,14 +192,12 @@ def cmd_cavity(run: RunConfig, args) -> int:
 def cmd_spectrum(run: RunConfig, args) -> int:
     config = run.interferometer()
     sweep = _single_sweep(run, OMEGA_SWEEP_KEYS)
-    omega = _omega_grid(sweep, cav.effective_cavity(config).half_linewidth)
+    omega = _scaled_grid(sweep, cav.effective_cavity(config).half_linewidth)
     spectrum = noi.back_action_spectrum(config, omega)
+    if run.output.normalize:
+        spectrum = spectrum.normalized()
     columns = [spectrum.omega, spectrum.total, spectrum.laser_part, spectrum.detector_part]
     header = ["omega_rad_s", "s_f", "laser_part", "detector_part"]
-    if run.output.normalize:
-        peak = np.max(spectrum.total)
-        if peak > 0.0:
-            columns = [columns[0]] + [c / peak for c in columns[1:]]
     _emit_table(header, columns, run, args.out, args.format)
     return 0
 
@@ -223,7 +218,7 @@ def cmd_backaction(run: RunConfig, args) -> int:
     if sweep.variable in OMEGA_SWEEP_KEYS:
         if args.method == "freemass":
             raise ValidationError("the freemass method needs a detuning sweep")
-        omega = _omega_grid(sweep, gamma)
+        omega = _scaled_grid(sweep, gamma)
         if np.any(omega <= 0.0):
             raise ValidationError("frequency sweeps for backaction must stay positive")
         if args.method == "exact":
@@ -232,7 +227,7 @@ def cmd_backaction(run: RunConfig, args) -> int:
             kernel = ba.kernel_narrowband(cavity, *shared, omega)
         spring, damping = ba.spring_damping(kernel, omega)
     else:
-        deltas = _detuning_grid(sweep, gamma)
+        deltas = _scaled_grid(sweep, gamma)
         if args.method == "freemass":
             spring, damping = ba.free_mass_spring_damping(cavity, *shared, deltas)
             kernel = spring.astype(complex)
@@ -264,7 +259,7 @@ def cmd_stability(run: RunConfig, args) -> int:
     oscillator = run.oscillator()
     gamma = cav.effective_cavity(config).half_linewidth
     sweep = _single_sweep(run, DETUNING_KEYS)
-    deltas = _detuning_grid(sweep, gamma)
+    deltas = _scaled_grid(sweep, gamma)
     report = st.stability_report(config, oscillator, deltas, oscillator.resonance_frequency)
 
     header = ["delta_rad_s", "spring", "damping", "regime_label", "rh_stable"]
@@ -288,11 +283,12 @@ def cmd_map(run: RunConfig, args) -> int:
             by_kind["offset"] = sweep
     if set(by_kind) != {"detuning", "offset"}:
         raise ValidationError("map sweeps must cover a detuning key and offset_xi_lambda0")
-    deltas = _detuning_grid(by_kind["detuning"], gamma)
+    deltas = _scaled_grid(by_kind["detuning"], gamma)
     offsets = by_kind["offset"].grid() * config.geometry.wavelength
     omega_eval = 2.0 * math.pi * run.physical.get("mech_freq_hz", 0.0)
 
-    grid = st.regime_map(config, deltas, offsets, omega_eval, _max_workers())
+    _check_threads()
+    grid = st.regime_map(config, deltas, offsets, omega_eval)
     n_d, n_x = deltas.size, offsets.size
     header = ["delta", "xi", "spring", "damping", "regime_label"]
     columns = [

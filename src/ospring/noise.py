@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cavity as cav
-from . import transfer_optics as to
 from .params import C_LIGHT, HBAR, InterferometerConfig
 
 
@@ -31,7 +30,7 @@ class NoiseSpectrum:
     def normalized(self) -> "NoiseSpectrum":
         """All three curves divided by the peak of the total density."""
         peak = float(np.max(self.total))
-        if peak <= 0.0:
+        if not peak > 0.0:
             return self
         return NoiseSpectrum(
             self.omega, self.total / peak, self.laser_part / peak, self.detector_part / peak

@@ -82,8 +82,8 @@ class Geometry:
     sr_distance     beamsplitter -> recycling-mirror distance
     wavelength      laser carrier wavelength
     arm_imbalance   path difference between the two membrane half-paths;
-                    only meaningful for the raw-phase matrix helpers, the
-                    tuned model derives it from the dark-port condition.
+                    read only by `msi_matrix`, the tuned model derives it
+                    from the dark-port condition.
     """
 
     arm_length: float
@@ -96,16 +96,8 @@ class Geometry:
         for name in ("arm_length", "half_arm", "sr_distance", "wavelength"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.short_path <= 0.0 or self.long_path <= 0.0:
+        if abs(self.arm_imbalance) / 2.0 >= self.half_arm:
             raise ValueError("arm imbalance larger than the half-arm length")
-
-    @property
-    def short_path(self) -> float:
-        return self.half_arm - self.arm_imbalance / 2.0
-
-    @property
-    def long_path(self) -> float:
-        return self.half_arm + self.arm_imbalance / 2.0
 
     @property
     def cavity_length(self) -> float:

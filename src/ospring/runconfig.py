@@ -39,12 +39,15 @@ class ValidationError(Exception):
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_int(text: str) -> int:
-    value = float(text)
-    if not math.isfinite(value) or value != int(value):
+    value = _parse_float(text)
+    if value != int(value):
         raise ValueError(f"{text!r} is not an integer")
     return int(value)
 

@@ -9,8 +9,6 @@ frequency and so gives exact real coefficients.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from . import backaction as ba
 from . import cavity as cav
 from .cavity import EffectiveCavity
-from .params import C_LIGHT, InterferometerConfig, MechanicalOscillator, MirrorParams
+from .params import InterferometerConfig, MechanicalOscillator, MirrorParams
 
 REGIME_LABELS = ("cooling", "heating", "stable_spring", "unstable_spring", "neutral")
 NEUTRAL_FLOOR = 1e-12
@@ -137,10 +135,7 @@ def characteristic_polynomial(
     delta_sr = delta - delta_m
 
     lorentz = gamma**2 + delta**2
-    gain = (
-        4.0 * carrier_omega * membrane.reflectivity**2 * input_power
-        / (C_LIGHT * cavity_length)
-    )
+    gain = ba._gain(membrane, input_power, carrier_omega, cavity_length)
     mass_term = oscillator.mass * lorentz
     w_sq = oscillator.resonance_frequency**2
     g_mech = oscillator.damping_rate
@@ -204,22 +199,6 @@ def routh_hurwitz_stable(coeffs) -> bool:
 def roots_stable(coeffs) -> bool:
     """Direct oracle: all polynomial roots strictly in the left half-plane."""
     return bool(np.all(np.roots(np.asarray(coeffs, dtype=float)).real < 0.0))
-
-
-def routh_hurwitz(
-    config: InterferometerConfig, oscillator: MechanicalOscillator, detuning: float
-) -> bool:
-    """Closed-loop stability of the configuration at a total detuning."""
-    coeffs = characteristic_polynomial(
-        cav.effective_cavity(config),
-        oscillator,
-        config.membrane,
-        config.input_power,
-        config.geometry.carrier_omega,
-        config.geometry.cavity_length,
-        detuning,
-    )
-    return routh_hurwitz_stable(coeffs)
 
 
 def classify_regimes(spring, damping, spring_floor: float, damping_floor: float):
@@ -347,28 +326,18 @@ def regime_map(
     deltas,
     offsets,
     omega_eval: float | None = None,
-    max_workers: int | None = None,
 ) -> RegimeMap:
-    """Spring/damping signs over a detuning x membrane-offset grid.
-
-    Rows (one per offset) are independent and evaluated on a thread pool;
-    output ordering is the input grid ordering regardless of scheduling.
-    """
+    """Spring/damping signs over a detuning x membrane-offset grid, one row
+    per offset."""
     deltas = np.asarray(deltas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     if deltas.size == 0 or offsets.size == 0:
         raise ValueError("regime map grids must be nonempty")
 
-    def row(offset):
-        return _spring_damping_sweep(replace(config, offset=float(offset)), deltas, omega_eval)
-
-    workers = max_workers or os.cpu_count() or 1
-    if workers > 1 and offsets.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, offsets))
-    else:
-        rows = [row(x) for x in offsets]
-
+    rows = [
+        _spring_damping_sweep(replace(config, offset=float(x)), deltas, omega_eval)
+        for x in offsets
+    ]
     spring = np.vstack([r[0] for r in rows])
     damping = np.vstack([r[1] for r in rows])
     labels = classify_regimes(

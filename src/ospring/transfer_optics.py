@@ -5,14 +5,12 @@ Matrices are plain (2, 2) complex numpy arrays acting on column vectors of
 field amplitudes.  Element matrices are real (Stokes form); the overall
 field phase is a gauge choice and never observable.
 
-Two phase conventions coexist:
-
-* raw: propagation phases computed literally as k times a macroscopic
-  length.  Used for algebraic identities (unitarity, energy closure) where
-  the absolute phase is irrelevant.
-* tuned: carrier phases split off and pinned by the operating point (see
-  :mod:`ospring.cavity`), with only the sideband part k -> omega/c taken
-  from the macroscopic lengths.  Used for every physical observable.
+Every physical observable uses tuned propagators: carrier phases split off
+and pinned by the operating point (see :mod:`ospring.cavity`), with only the
+sideband part k -> omega/c taken from the macroscopic lengths.  Only
+:func:`msi_matrix` takes its phases literally as k times a macroscopic
+length, for the algebraic identities (unitarity, energy closure) where the
+absolute phase is irrelevant.
 """
 
 from __future__ import annotations
@@ -41,24 +39,6 @@ def membrane_matrix(membrane: MirrorParams) -> np.ndarray:
     """[[-r, t], [t, r]] with the real sign convention."""
     r, t = membrane.reflectivity, membrane.transmissivity
     return np.array([[-r, t], [t, r]], dtype=complex)
-
-
-def propagation_matrices(geom: Geometry, k: float):
-    """Raw-phase propagators (arm, fold, recycling path) at wavenumber k.
-
-    Returns ``(p_arm, p_fold, p_sr)`` where p_arm covers the beamsplitter ->
-    folding-mirror arms, p_fold the two folding-mirror -> membrane half
-    paths, and p_sr the beamsplitter -> recycling-mirror path (laser port
-    entry is 1: there is no recycling mirror on that side).
-    """
-    if k <= 0.0:
-        raise ValueError("wavenumber must be positive")
-    p_arm = np.diag([np.exp(1j * k * geom.arm_length)] * 2)
-    p_fold = np.diag(
-        [np.exp(1j * k * geom.short_path), np.exp(1j * k * geom.long_path)]
-    )
-    p_sr = np.diag([1.0, np.exp(1j * k * geom.sr_distance)]).astype(complex)
-    return p_arm, p_fold, p_sr
 
 
 def effective_mirror(membrane: MirrorParams, bs: BeamsplitterParams, imbalance_phase):
@@ -91,46 +71,6 @@ def msi_matrix(geom: Geometry, membrane: MirrorParams, bs: BeamsplitterParams, k
     return m_ms, rho1, rho2, tau
 
 
-def invert_2x2(m: np.ndarray) -> np.ndarray:
-    """Closed-form (adjugate / determinant) inverse of a complex 2x2 matrix."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < DEGENERACY_FLOOR:
-        raise DegenerateResonanceError(
-            f"2x2 determinant magnitude {abs(det):.3e} below {DEGENERACY_FLOOR:.0e}"
-        )
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
-
-
-def recycling_resolvent(
-    geom: Geometry,
-    membrane: MirrorParams,
-    bs: BeamsplitterParams,
-    srm: MirrorParams,
-    k: float,
-):
-    """Closed-form resolvent of the recycling loop and its denominator.
-
-    Returns ``(k_msr, denom)`` where denom = 1 - R_sr * rho2 * exp(2ik*Lc)
-    and k_msr = inverse of (I - loop) written out explicitly:
-
-        k_msr = [[1, 0], [R_sr * tau * exp(2ik*Lc) / denom, 1 / denom]]
-    """
-    _, rho2, tau = effective_mirror(membrane, bs, k * geom.arm_imbalance)
-    roundtrip = np.exp(2j * k * geom.cavity_length)
-    denom = 1.0 - srm.reflectivity * rho2 * roundtrip
-    if abs(denom) < DEGENERACY_FLOOR:
-        raise DegenerateResonanceError(
-            f"resonance denominator magnitude {abs(denom):.3e} below {DEGENERACY_FLOOR:.0e}"
-        )
-    k_msr = np.array(
-        [
-            [1.0, 0.0],
-            [srm.reflectivity * tau * roundtrip / denom, 1.0 / denom],
-        ]
-    )
-    return k_msr, denom
-
-
 def field_matrices(
     membrane: MirrorParams,
     bs: BeamsplitterParams,
@@ -138,19 +78,17 @@ def field_matrices(
     p_arm: np.ndarray,
     p_fold: np.ndarray,
     p_sr: np.ndarray,
-    denominator=None,
+    denominator,
 ):
     """Input -> membrane-surface field maps for prebuilt propagators.
 
-    Returns ``(m_inc, m_ref, m_fb)``: the matrices mapping the two input
-    fields onto the fields incident on / reflected from the membrane faces,
-    and the feedback matrix multiplying the membrane displacement source
-    term.  The propagators may follow either phase convention.
+    Returns ``(m_inc, m_ref)``: the matrices mapping the two input fields
+    onto the fields incident on / reflected from the membrane faces.
 
     The first row of the recycling loop is zero, so det(I - loop) is the
-    resonance denominator 1 - loop[1, 1].  A caller that can form it without
-    cancellation (see :func:`ospring.cavity.resonance_denominator`) passes it
-    as ``denominator``; otherwise I - loop is inverted as it stands.
+    resonance denominator 1 - loop[1, 1].  The caller passes it as
+    ``denominator``, formed without cancellation (see
+    :func:`ospring.cavity.resonance_denominator`).
     """
     m_bs = beamsplitter_matrix(bs)
     m_m = membrane_matrix(membrane)
@@ -159,15 +97,8 @@ def field_matrices(
 
     m_ms = m_bs.T @ p_arm @ p_fold @ m_m @ p_fold @ p_arm @ m_bs
     loop = p_sr @ r_sr @ p_sr @ m_ms
-    if denominator is None:
-        resolvent = invert_2x2(np.eye(2, dtype=complex) - loop)
-    else:
-        resolvent = np.array([[1.0, 0.0], [loop[1, 0] / denominator, 1.0 / denominator]])
+    resolvent = np.array([[1.0, 0.0], [loop[1, 0] / denominator, 1.0 / denominator]])
 
-    to_membrane = p_fold @ p_arm @ m_bs
-    m_inc = to_membrane @ resolvent @ p_sr @ t_sr
+    m_inc = p_fold @ p_arm @ m_bs @ resolvent @ p_sr @ t_sr
     m_ref = m_m @ m_inc
-    m_fb = membrane.reflectivity * (
-        to_membrane @ resolvent @ p_sr @ r_sr @ p_sr @ m_bs.T @ p_arm @ p_fold
-    )
-    return m_inc, m_ref, m_fb
+    return m_inc, m_ref

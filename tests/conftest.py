@@ -95,8 +95,8 @@ def matrix_noise_density(config, omega_scalar):
     Projects the mean incident fields onto the sideband reflected-field map
     and sums the squared couplings of the two vacuum inputs.
     """
-    m_inc0, _, _ = cav.membrane_field_matrices(config, 0.0)
-    _, m_ref, _ = cav.membrane_field_matrices(config, omega_scalar)
+    m_inc0, _ = cav.membrane_field_matrices(config, 0.0)
+    _, m_ref = cav.membrane_field_matrices(config, omega_scalar)
     row = m_inc0[:, 0].conj() @ m_ref
     scale = (
         4.0 * HBAR * config.geometry.wavenumber / C_LIGHT
@@ -115,7 +115,7 @@ def static_kernel_oracle(config, step=1e-12):
     """
 
     def face_difference(cfg):
-        m_inc, m_ref, _ = cav.membrane_field_matrices(cfg, 0.0)
+        m_inc, m_ref = cav.membrane_field_matrices(cfg, 0.0)
         inc, ref = m_inc[:, 0], m_ref[:, 0]
         return (
             abs(inc[0]) ** 2 + abs(ref[0]) ** 2 - abs(inc[1]) ** 2 - abs(ref[1]) ** 2

@@ -193,7 +193,7 @@ def test_resonance_denominator_matches_effective_quantities(narrow_config):
 def test_membrane_field_matrices_resonant_gain(narrow_config):
     config = cav.with_total_detuning(narrow_config, 0.0)
     cavity = cav.effective_cavity(config)
-    m_inc, _, _ = cav.membrane_field_matrices(config, 0.0)
+    m_inc, _ = cav.membrane_field_matrices(config, 0.0)
     gain = abs(m_inc[1, 1]) ** 2
     lorentz = (
         config.bs.transmissivity**2

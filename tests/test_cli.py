@@ -47,7 +47,19 @@ def test_duplicate_key_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
-@pytest.mark.parametrize("line", ["points = 241", "dark_port_index = 3"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "points = 241",
+        "dark_port_index = 3",
+        "wavelength_nm = 1064",
+        "input_power_mw = 200",
+        "offset_xi_lambda0 = 0.01",
+        "mass_kg = 8e-11",
+        "start = -3",
+        "stop = 3",
+    ],
+)
 def test_non_finite_integer_is_validation_exit(tmp_path, capsys, line, value):
     text = Path(preset_path("fig2c")).read_text()
     assert line in text
@@ -56,6 +68,15 @@ def test_non_finite_integer_is_validation_exit(tmp_path, capsys, line, value):
     assert run_cli("backaction", "--config", cfg, "--method", "narrowband") == 2
     err = capsys.readouterr().err
     assert err.startswith("ospring:") and f"'{key}'" in err
+
+
+def test_frequency_sweep_must_stay_positive(tmp_path, capsys):
+    text = Path(preset_path("fig2c")).read_text().replace(
+        "variable = detuning_over_gamma\nstart = -3", "variable = omega_rad_s\nstart = 0"
+    )
+    cfg = write_cfg(tmp_path, text)
+    assert run_cli("backaction", "--config", cfg, "--method", "exact") == 2
+    assert "frequency sweeps for backaction must stay positive" in capsys.readouterr().err
 
 
 def test_stability_requires_mass(tmp_path, capsys):

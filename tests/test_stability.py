@@ -154,8 +154,14 @@ def test_routh_table_known_polynomials():
 def test_canonical_detuned_free_mass_is_unstable(narrow_config):
     config = replace(narrow_config, offset=0.0)
     oscillator = MechanicalOscillator(1e-10, 0.0, 1e-6 * GAMMA)
+    cavity = cav.effective_cavity(config)
     for delta in (-1.5 * GAMMA, -0.5 * GAMMA, 0.5 * GAMMA, 1.5 * GAMMA):
-        assert not st.routh_hurwitz(config, oscillator, delta)
+        coeffs = st.characteristic_polynomial(
+            cavity, oscillator, config.membrane, config.input_power,
+            config.geometry.carrier_omega, config.geometry.cavity_length, delta,
+        )
+        assert not st.routh_hurwitz_stable(coeffs)
+        assert not st.roots_stable(coeffs)
 
 
 def test_stable_window_confirmed_by_both_oracles(geometry):
@@ -342,11 +348,13 @@ def test_regime_map_deterministic_across_workers(narrow_config):
     gamma = cav.effective_cavity(narrow_config).half_linewidth
     deltas = np.linspace(-2 * gamma, 2 * gamma, 41)
     offsets = np.linspace(0.0, 0.02, 7) * WAVELENGTH
-    serial = st.regime_map(narrow_config, deltas, offsets, 0.5 * gamma, max_workers=1)
-    threaded = st.regime_map(narrow_config, deltas, offsets, 0.5 * gamma, max_workers=8)
-    assert np.array_equal(serial.spring, threaded.spring)
-    assert np.array_equal(serial.damping, threaded.damping)
-    assert np.array_equal(serial.labels, threaded.labels)
+    grid = st.regime_map(narrow_config, deltas, offsets, 0.5 * gamma)
+    for i, x in enumerate(offsets):
+        spring, damping = st._spring_damping_sweep(
+            replace(narrow_config, offset=float(x)), deltas, 0.5 * gamma
+        )
+        assert np.array_equal(grid.spring[i], spring)
+        assert np.array_equal(grid.damping[i], damping)
     with pytest.raises(ValueError):
         st.regime_map(narrow_config, np.array([]), offsets, 0.5 * gamma)
 

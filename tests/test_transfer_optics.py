@@ -1,14 +1,15 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ospring import cavity as cav
 from ospring import transfer_optics as to
-from ospring.params import BeamsplitterParams, Geometry, MirrorParams
+from ospring.params import BeamsplitterParams, Geometry, InterferometerConfig, MirrorParams
 
-from conftest import WAVELENGTH, random_lossless
+from conftest import WAVELENGTH, random_config, random_lossless
 
 
 def test_beamsplitter_balanced():
@@ -63,37 +64,6 @@ def test_mirror_lossless_guard():
         MirrorParams(-0.1, math.sqrt(1 - 0.01))
 
 
-def test_propagation_full_wavelength_roundtrip():
-    geom = Geometry(1.0, 0.5, 0.25, WAVELENGTH)
-    k = 2.0 * math.pi * 7.0 / geom.arm_length  # k L = 14 pi
-    p_arm, _, _ = to.propagation_matrices(geom, k)
-    assert np.allclose(p_arm, np.eye(2), atol=1e-9)
-
-
-def test_propagation_balanced_arms():
-    geom = Geometry(1.0, 0.5, 0.25, WAVELENGTH, arm_imbalance=0.0)
-    k = 123.456
-    _, p_fold, _ = to.propagation_matrices(geom, k)
-    assert np.allclose(p_fold, cmath.exp(1j * k * geom.half_arm) * np.eye(2), atol=1e-15)
-
-
-def test_propagation_quarter_wave_imbalance():
-    geom = Geometry(1.0, 0.5, 0.25, WAVELENGTH, arm_imbalance=WAVELENGTH / 4.0)
-    k0 = geom.wavenumber
-    _, p_fold, _ = to.propagation_matrices(geom, k0)
-    common = cmath.exp(1j * k0 * geom.half_arm)
-    expected = common * np.diag([cmath.exp(-1j * math.pi / 4), cmath.exp(1j * math.pi / 4)])
-    # direct phase evaluation: half-arm phases k0*(l -+ lambda/8)
-    direct = np.diag(
-        [
-            cmath.exp(1j * k0 * (geom.half_arm - WAVELENGTH / 8.0)),
-            cmath.exp(1j * k0 * (geom.half_arm + WAVELENGTH / 8.0)),
-        ]
-    )
-    assert np.allclose(p_fold, expected, atol=1e-9)
-    assert np.allclose(p_fold, direct, atol=1e-12)
-
-
 def test_msi_dark_port_balanced_quarter_wave():
     geom = Geometry(0.05, 0.027, 0.01, WAVELENGTH, arm_imbalance=WAVELENGTH / 4.0)
     membrane = MirrorParams.from_power_reflectivity(0.17)
@@ -134,10 +104,7 @@ def test_unitarity_and_effective_mirror_identities():
     for _ in range(1000):
         membrane, bs, geom = random_lossless(rng)
         k = geom.wavenumber * rng.uniform(0.5, 2.0)
-        m_bs = to.beamsplitter_matrix(bs)
-        m_m = to.membrane_matrix(membrane)
-        p_arm, p_fold, p_sr = to.propagation_matrices(geom, k)
-        for m in (m_bs, m_m, p_arm, p_fold, p_sr):
+        for m in (to.beamsplitter_matrix(bs), to.membrane_matrix(membrane)):
             assert np.max(np.abs(m.conj().T @ m - eye)) < 1e-12
         m_ms, rho1, rho2, tau = to.msi_matrix(geom, membrane, bs, k)
         assert np.max(np.abs(m_ms.conj().T @ m_ms - eye)) < 1e-12
@@ -145,82 +112,91 @@ def test_unitarity_and_effective_mirror_identities():
         assert abs(abs(rho2) ** 2 + abs(tau) ** 2 - 1.0) < 1e-12
 
 
+def _loop(config, omega):
+    """Recycling loop p_sr R_sr p_sr M_ms built from the tuned propagators."""
+    p_arm, p_fold, p_sr = cav.sideband_propagators(config, omega)
+    m_bs = to.beamsplitter_matrix(config.bs)
+    m_ms = m_bs.T @ p_arm @ p_fold @ to.membrane_matrix(config.membrane) @ p_fold @ p_arm @ m_bs
+    r_sr = np.diag([0.0, config.srm.reflectivity]).astype(complex)
+    return p_sr @ r_sr @ p_sr @ m_ms
+
+
+def _tuned_config(membrane, bs, srm, offset=0.0):
+    return InterferometerConfig(
+        geometry=Geometry(0.05, 0.027, 0.01, WAVELENGTH),
+        membrane=membrane,
+        srm=srm,
+        bs=bs,
+        input_power=0.2,
+        dark_port_index=1,
+        offset=offset,
+    )
+
+
 def test_resolvent_matches_numeric_inversion():
-    # moderate raw phases keep the comparison meaningful at 1e-12 absolute
     rng = np.random.default_rng(7)
+    eye = np.eye(2)
     for _ in range(200):
-        membrane = MirrorParams.from_power_reflectivity(rng.uniform(0.0, 1.0))
-        bs = BeamsplitterParams(rng.uniform(-0.9, 0.9))
-        srm = MirrorParams.from_power_transmissivity(rng.uniform(0.02, 1.0))
-        geom = Geometry(
-            rng.uniform(0.1, 1.0),
-            rng.uniform(0.1, 1.0),
-            rng.uniform(0.1, 1.0),
-            WAVELENGTH,
-            rng.uniform(-0.05, 0.05),
-        )
-        k = rng.uniform(1.0, 20.0)
-        k_msr, denom = to.recycling_resolvent(geom, membrane, bs, srm, k)
-        p_arm, p_fold, p_sr = to.propagation_matrices(geom, k)
-        m_ms = (
-            to.beamsplitter_matrix(bs).T
-            @ p_arm @ p_fold @ to.membrane_matrix(membrane) @ p_fold @ p_arm
-            @ to.beamsplitter_matrix(bs)
-        )
-        loop = p_sr @ np.diag([0.0, srm.reflectivity]).astype(complex) @ p_sr @ m_ms
-        direct = np.linalg.inv(np.eye(2) - loop)
-        assert np.max(np.abs(k_msr - direct)) < 1e-12
-        assert abs(k_msr[1, 1] - 1.0 / denom) < 1e-12
+        config = random_config(rng, Geometry(0.05, 0.027, 0.01, WAVELENGTH), max_tsr_sq=0.5)
+        config = replace(config, srm_detuning=rng.uniform(-1.0, 1.0) * 1e8)
+        omega = rng.uniform(-1.0, 1.0) * 1e8
+        for p in cav.sideband_propagators(config, omega):
+            assert np.max(np.abs(p.conj().T @ p - eye)) < 1e-12
+        loop = _loop(config, omega)
+        denom = complex(cav.resonance_denominator(config, omega))
+        assert abs(denom - (1.0 - loop[1, 1])) < 1e-12
+        closed = np.array([[1.0, 0.0], [loop[1, 0] / denom, 1.0 / denom]])
+        direct = np.linalg.inv(eye - loop)
+        assert np.max(np.abs(closed - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
 def test_resolvent_no_recycling_is_identity():
-    geom = Geometry(0.05, 0.027, 0.01, WAVELENGTH, 0.3e-6)
     membrane = MirrorParams.from_power_reflectivity(0.17)
-    k_msr, denom = to.recycling_resolvent(
-        geom, membrane, BeamsplitterParams(0.0), MirrorParams(0.0, 1.0), geom.wavenumber
-    )
-    assert denom == 1.0
-    assert np.allclose(k_msr, np.eye(2), atol=0)
+    no_srm = MirrorParams(0.0, 1.0)
+    config = _tuned_config(membrane, BeamsplitterParams(0.0), no_srm, 0.02 * WAVELENGTH)
+    for omega in (0.0, 3e7):
+        assert cav.resonance_denominator(config, omega) == 1.0
+        assert np.max(np.abs(_loop(config, omega))) == 0.0
 
 
 def test_resolvent_dark_port_kills_cross_coupling():
     membrane = MirrorParams.from_power_reflectivity(0.3)
-    bs = BeamsplitterParams(-0.3)
-    offset_dp = cav.dark_port_offset(membrane, bs, WAVELENGTH, 1)
-    geom = Geometry(0.05, 0.027, 0.01, WAVELENGTH, offset_dp)
     srm = MirrorParams.from_power_transmissivity(0.3)
-    k_msr, _ = to.recycling_resolvent(geom, membrane, bs, srm, geom.wavenumber)
-    assert abs(k_msr[1, 0]) < 1e-12
+    config = _tuned_config(membrane, BeamsplitterParams(-0.3), srm)
+    assert abs(_loop(config, 0.0)[1, 0]) < 1e-12
 
 
 def test_resolvent_peak_amplitude():
-    # engineered so the loop phase vanishes: |1/denom| = 1/(1 - 0.99)
-    membrane = MirrorParams(1.0, 0.0)
-    bs = BeamsplitterParams(0.0)
+    # on the dark port at resonance the loop phase vanishes: |1/denom| = 1/(1 - 0.99)
     srm = MirrorParams(0.99, math.sqrt(1.0 - 0.99**2))
-    k = 1.0
-    geom = Geometry(1.0, 2.0, math.pi / 4.0 + math.pi - 3.0, WAVELENGTH, -math.pi / 2.0)
-    k_msr, denom = to.recycling_resolvent(geom, membrane, bs, srm, k)
+    config = _tuned_config(MirrorParams(1.0, 0.0), BeamsplitterParams(0.0), srm)
+    denom = complex(cav.resonance_denominator(config, 0.0))
     assert abs(abs(1.0 / denom) - 100.0) < 1e-6
-    assert abs(abs(k_msr[1, 1]) - 100.0) < 1e-6
 
 
 def test_resolvent_degeneracy_error():
-    membrane = MirrorParams(1.0, 0.0)
-    bs = BeamsplitterParams(0.0)
-    srm = MirrorParams(1.0, 0.0)
-    geom = Geometry(1.0, 2.0, math.pi / 4.0 + math.pi - 3.0, WAVELENGTH, -math.pi / 2.0)
+    config = _tuned_config(MirrorParams(1.0, 0.0), BeamsplitterParams(0.0), MirrorParams(1.0, 0.0))
     with pytest.raises(to.DegenerateResonanceError):
-        to.recycling_resolvent(geom, membrane, bs, srm, 1.0)
+        cav.resonance_denominator(config, 0.0)
 
 
-def test_invert_2x2_matches_numpy():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.allclose(to.invert_2x2(m), np.linalg.inv(m), atol=1e-12)
-    with pytest.raises(to.DegenerateResonanceError):
-        to.invert_2x2(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+def _raw_propagators(geom, k):
+    """Arm, fold and recycling-path propagators with every phase taken
+    literally as k times a macroscopic length."""
+    p_arm = np.diag([np.exp(1j * k * geom.arm_length)] * 2)
+    p_fold = np.diag(
+        [
+            np.exp(1j * k * (geom.half_arm - geom.arm_imbalance / 2.0)),
+            np.exp(1j * k * (geom.half_arm + geom.arm_imbalance / 2.0)),
+        ]
+    )
+    p_sr = np.diag([1.0, np.exp(1j * k * geom.sr_distance)]).astype(complex)
+    return p_arm, p_fold, p_sr
+
+
+def _raw_denominator(geom, membrane, bs, srm, k):
+    _, rho2, _ = to.effective_mirror(membrane, bs, k * geom.arm_imbalance)
+    return 1.0 - srm.reflectivity * rho2 * cmath.exp(2j * k * geom.cavity_length)
 
 
 def _explicit_field_matrices(geom, membrane, bs, srm, k):
@@ -231,8 +207,7 @@ def _explicit_field_matrices(geom, membrane, bs, srm, k):
     dl = geom.arm_imbalance
     lc = geom.cavity_length
     arm = geom.arm_length + geom.half_arm
-    _, rho2, _ = to.effective_mirror(membrane, bs, k * dl)
-    d = 1.0 - r_sr * rho2 * cmath.exp(2j * k * lc)
+    d = _raw_denominator(geom, membrane, bs, srm, k)
 
     e = cmath.exp
     m_a = np.array(
@@ -263,19 +238,7 @@ def _explicit_field_matrices(geom, membrane, bs, srm, k):
             ],
         ]
     )
-    m_fb = np.array(
-        [
-            [
-                rm * rb**2 * r_sr * e(2j * k * (lc - dl / 2)) / d,
-                -rm * rb * tb * r_sr * e(2j * k * lc) / d,
-            ],
-            [
-                -rm * rb * tb * r_sr * e(2j * k * lc) / d,
-                rm * tb**2 * r_sr * e(2j * k * (lc + dl / 2)) / d,
-            ],
-        ]
-    )
-    return m_a, m_b, m_fb
+    return m_a, m_b
 
 
 def test_field_matrices_match_explicit_elements():
@@ -292,8 +255,8 @@ def test_field_matrices_match_explicit_elements():
             rng.uniform(-0.05, 0.05),
         )
         k = rng.uniform(1.0, 20.0)
-        p = to.propagation_matrices(geom, k)
-        composed = to.field_matrices(membrane, bs, srm, *p)
+        denominator = _raw_denominator(geom, membrane, bs, srm, k)
+        composed = to.field_matrices(membrane, bs, srm, *_raw_propagators(geom, k), denominator)
         explicit = _explicit_field_matrices(geom, membrane, bs, srm, k)
         for built, written in zip(composed, explicit):
             assert np.max(np.abs(built - written)) < 1e-12
@@ -304,7 +267,6 @@ def test_field_matrices_energy_split_without_recycling():
     membrane = MirrorParams.from_power_reflectivity(0.17)
     bs = BeamsplitterParams(0.0)
     no_srm = MirrorParams(0.0, 1.0)
-    p = to.propagation_matrices(geom, geom.wavenumber)
-    m_inc, m_ref, m_fb = to.field_matrices(membrane, bs, no_srm, *p)
+    p = _raw_propagators(geom, geom.wavenumber)
+    m_inc, m_ref = to.field_matrices(membrane, bs, no_srm, *p, denominator=1.0)
     assert abs(abs(m_inc[0, 0]) ** 2 + abs(m_inc[1, 0]) ** 2 - 1.0) < 1e-12
-    assert np.max(np.abs(m_fb)) == 0.0
