@@ -3,7 +3,9 @@ spring / damping extracted from it.
 
 Three evaluation paths with increasing approximation:
 
-* exact      full matrix path, valid for any parameters;
+* exact      closed form of the full model, valid for any parameters and
+             cross-checked against the 2x2 matrix path of
+             :func:`ospring.cavity.membrane_field_matrices`;
 * narrowband closed form in the effective-cavity rates, valid for a
              balanced beamsplitter near a dark port with a narrow line;
 * free mass  zero-frequency limit of the narrowband form with a fully
@@ -14,13 +16,11 @@ Three evaluation paths with increasing approximation:
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cavity as cav
-from . import transfer_optics as to
 from .cavity import EffectiveCavity
 from .params import C_LIGHT, InterferometerConfig, MirrorParams
 
@@ -30,6 +30,33 @@ def spring_damping(kernel, omega):
     k = np.asarray(kernel)
     om = np.asarray(omega, dtype=float)
     return k.real, -k.imag / (2.0 * om)
+
+
+def _roundtrip(config: InterferometerConfig, omega):
+    """Carrier round-trip factor exp(i*phi)*conj(rho2_dp/|rho2_dp|), phi from
+    :func:`ospring.cavity.recycling_phase`: no small phase is added to the
+    O(1) arg(rho2_dp)."""
+    _, rho2_dp = cav.dark_port_carrier(config)
+    return np.exp(1j * cav.recycling_phase(config, omega)) * np.conj(rho2_dp / abs(rho2_dp))
+
+
+def _carrier(config: InterferometerConfig):
+    """Detector-port carrier amplitude y of the loop (laser input 1) and
+    Im(b^T sigma3 a) for the mean membrane-face fields a = P*m_bs*(1, y) and
+    b = conj(m_m*a), P = diag(exp(-i*psi/2), exp(i*psi/2)) the fold propagator:
+
+        b^T sigma3 a = -rm*(1 + |y|^2) + 2i*tm*Im(exp(-i*psi)*(rb + tb*conj(y))*(tb - rb*y)).
+
+    tau vanishes on the dark port and is formed from its excess.
+    """
+    rm, tm = config.membrane.reflectivity, config.membrane.transmissivity
+    rb, tb = config.bs.reflectivity, config.bs.transmissivity
+    p_dp, _ = cav.dark_port_carrier(config)
+    tau = 2.0 * rm * rb * tb * (p_dp * cav.expm1i(config.geometry.wavenumber * config.offset)).real
+    d0 = cav.resonance_denominator(config, 0.0)
+    y = config.srm.reflectivity * _roundtrip(config, 0.0) * tau / d0
+    fields = np.exp(-1j * cav.imbalance_phase(config)) * (rb + tb * np.conj(y)) * (tb - rb * y)
+    return y, 2.0 * tm * fields.imag
 
 
 def _feedback_term(config: InterferometerConfig, omega, y):
@@ -52,7 +79,6 @@ def _feedback_term(config: InterferometerConfig, omega, y):
     expm1(+-i*h) with scalar coefficients and no O(1) terms cancel.
     """
     om = np.asarray(omega, dtype=float)
-    geom = config.geometry
     rm, tm = config.membrane.reflectivity, config.membrane.transmissivity
     rb, tb = config.bs.reflectivity, config.bs.transmissivity
     c = rb * tb
@@ -65,12 +91,11 @@ def _feedback_term(config: InterferometerConfig, omega, y):
     g_b0 = -y * asym / rm - (tm * rho2_dp.conjugate() + 2.0 * c) / rm
 
     common = (
-        rm * config.srm.reflectivity
-        * np.exp(1j * (cav.roundtrip_phase(config) + 2.0 * om / C_LIGHT * geom.cavity_length))
+        rm * config.srm.reflectivity * _roundtrip(config, om)
         / cav.resonance_denominator(config, om)
     )
     h = 0.5 * om / C_LIGHT * cav.imbalance_length(config)
-    z = p_dp * cav.expm1i(geom.wavenumber * config.offset + h)
+    z = p_dp * cav.expm1i(config.geometry.wavenumber * config.offset + h)
     z_bar = np.conj(z)
     e_h = cav.expm1i(h)
     g_a = g_a0 - (c + y * tb**2) * z + (c - y * rb**2) * z_bar
@@ -82,36 +107,22 @@ def _feedback_term(config: InterferometerConfig, omega, y):
     return common * g_a * g_b
 
 
-def kernel_exact(config: InterferometerConfig, omega, arm_gauge: float = 0.0):
-    """Exact matrix-path kernel (N/m) at sideband frequency omega.
+def kernel_exact(config: InterferometerConfig, omega):
+    """Exact kernel (N/m) at sideband frequency omega, in closed form.
 
-    Vectorized over omega.  Defined at omega = 0 by continuity (the value is
-    real there); use :func:`spring_damping` only at nonzero omega.  The mean
-    membrane-face fields come from the matrix path (as in
-    :func:`ospring.cavity.membrane_field_matrices`), the feedback term from
-    :func:`_feedback_term`.
+    Broadcasts over omega and over an array ``config.srm_detuning`` (see
+    :func:`ospring.cavity.with_total_detuning`).  Defined at omega = 0 by
+    continuity (the value is real there); use :func:`spring_damping` only at
+    nonzero omega.  Of the mean-field term b^T sigma3 a only its imaginary
+    part (:func:`_carrier`) survives the difference of the quadratic forms at
+    +omega and, conjugated, at -omega; :func:`_feedback_term` gives the rest.
     """
     om = np.asarray(omega, dtype=float)
-    d0 = complex(cav.resonance_denominator(config, 0.0))
-    propagators = cav.sideband_propagators(config, 0.0, arm_gauge)
-    m_inc, m_ref = to.field_matrices(
-        config.membrane, config.bs, config.srm, *propagators, denominator=d0
-    )
-    a1, a2 = m_inc[0, 0], m_inc[1, 0]
-    b1, b2 = np.conj(m_ref[0, 0]), np.conj(m_ref[1, 0])
-    static = b1 * a1 - b2 * a2
-
-    # detector-port carrier amplitude of the loop; tau vanishes on the dark
-    # port and is formed from its excess
-    rm, rb, tb = config.membrane.reflectivity, config.bs.reflectivity, config.bs.transmissivity
-    p_dp, _ = cav.dark_port_carrier(config)
-    tau = 2.0 * rm * rb * tb * (p_dp * cav.expm1i(config.geometry.wavenumber * config.offset)).real
-    y = config.srm.reflectivity * cmath.exp(1j * cav.roundtrip_phase(config)) * tau / d0
-
-    upper = static - 2.0 * _feedback_term(config, om, y)
-    lower = static - 2.0 * _feedback_term(config, -om, y)
+    y, interference = _carrier(config)
+    feedback = _feedback_term(config, om, y) - np.conj(_feedback_term(config, -om, y))
+    rm = config.membrane.reflectivity
     scale = 2j * config.geometry.wavenumber / C_LIGHT * rm * config.input_power
-    return scale * (upper - np.conj(lower))
+    return scale * (2j * interference - 2.0 * feedback)
 
 
 def _gain(membrane: MirrorParams, input_power: float, carrier_omega: float, cavity_length: float):

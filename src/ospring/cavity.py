@@ -93,11 +93,6 @@ def _dark_port_carrier(membrane: MirrorParams, bs: BeamsplitterParams, index: in
     return cmath.exp(1j * psi_dp), complex(rho2)
 
 
-def dark_port_reflection_phase(config: InterferometerConfig) -> float:
-    """Carrier arg(rho2) evaluated exactly on the dark port."""
-    return cmath.phase(dark_port_carrier(config)[1])
-
-
 def roundtrip_phase(config: InterferometerConfig) -> float:
     """Carrier round-trip phase 2*k0*cavity_length pinned by the tuning.
 
@@ -106,7 +101,7 @@ def roundtrip_phase(config: InterferometerConfig) -> float:
     equal to srm_detuning on the dark port.
     """
     lc = config.geometry.cavity_length
-    return 2.0 * config.srm_detuning * lc / C_LIGHT - dark_port_reflection_phase(config)
+    return 2.0 * config.srm_detuning * lc / C_LIGHT - cmath.phase(dark_port_carrier(config)[1])
 
 
 def sideband_propagators(config: InterferometerConfig, omega: float, arm_gauge: float = 0.0):
@@ -186,10 +181,11 @@ def recycling_phase(config: InterferometerConfig, omega):
 def resonance_denominator(config: InterferometerConfig, omega, exact_imbalance_sideband: bool = True):
     """1 - R_sr * rho2(k) * exp(2ik*cavity_length) for sideband frequency omega.
 
-    Vectorized over omega.  Near resonance the denominator is a small
-    difference of O(1) numbers, so it is assembled from small quantities
-    only: with rho2 = rho2_dp*(1 + w) (|rho2_dp| = 1 for a lossless
-    interferometer) and the carrier round trip pinned to arg(rho2_dp),
+    Broadcasts over omega and an array ``srm_detuning``.  Near resonance the
+    denominator is a small difference of O(1) numbers, so it is assembled
+    from small quantities only: with rho2 = rho2_dp*(1 + w) (|rho2_dp| = 1
+    for a lossless interferometer) and the carrier round trip pinned to
+    arg(rho2_dp),
 
         denom = (1 - R_sr) - R_sr*(w*exp(i*phi) + expm1(i*phi)),
 
@@ -289,11 +285,12 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     )
 
 
-def with_total_detuning(config: InterferometerConfig, detuning: float) -> InterferometerConfig:
+def with_total_detuning(config: InterferometerConfig, detuning) -> InterferometerConfig:
     """Configuration whose total cavity detuning equals ``detuning``.
 
     The membrane contribution is fixed by the offset, so the recycling
-    tuning absorbs the difference in a single pass.
+    tuning absorbs the difference in a single pass.  An array ``detuning``
+    gives an array ``srm_detuning``: one configuration for the whole sweep.
     """
     membrane_detuning = effective_cavity(config).membrane_detuning
     return replace(config, srm_detuning=detuning - membrane_detuning)

@@ -121,7 +121,8 @@ class InterferometerConfig:
     metric offset from that dark port; the recycling-cavity tuning is stored
     as the carrier detuning from the dark-port resonance.  Both choices keep
     the carrier phases well conditioned regardless of the macroscopic
-    lengths.
+    lengths.  ``srm_detuning`` may be an array: the configuration then holds
+    a detuning sweep, over which the exact kernel broadcasts.
     """
 
     geometry: Geometry

@@ -4,7 +4,9 @@ The stability question is settled twice, independently: once through the
 Routh table of the degree-4 closed-loop characteristic polynomial and once
 through its roots.  The two verdicts must agree at every sampled point.
 The polynomial is built from the narrow-band kernel, which is rational in
-frequency and so gives exact real coefficients.
+frequency and so gives exact real coefficients.  Polynomials, Routh
+columns and verdicts broadcast over a stack of detunings, coefficients on
+the last axis.
 """
 
 from __future__ import annotations
@@ -121,13 +123,14 @@ def characteristic_polynomial(
     input_power: float,
     carrier_omega: float,
     cavity_length: float,
-    detuning: float | None = None,
+    detuning=None,
 ) -> np.ndarray:
-    """Real coefficients (highest power first) of the degree-4 closed-loop
-    polynomial in s obtained by multiplying the oscillator equation through
-    by the kernel denominator.
+    """Real coefficients (highest power first, on the last axis) of the
+    degree-4 closed-loop polynomial in s obtained by multiplying the
+    oscillator equation through by the kernel denominator; broadcasts over
+    ``detuning``.
     """
-    delta = cavity.detuning if detuning is None else float(detuning)
+    delta = cavity.detuning if detuning is None else np.asarray(detuning, dtype=float)
     gamma = cavity.half_linewidth
     gamma_sr = cavity.srm_half_linewidth
     gamma_m = cavity.membrane_half_linewidth
@@ -141,7 +144,7 @@ def characteristic_polynomial(
     g_mech = oscillator.damping_rate
     reduced = lorentz - 4.0 * (gamma * gamma_m + delta * delta_m)
 
-    return np.array(
+    return np.stack(
         [
             mass_term,
             2.0 * mass_term * (gamma + g_mech),
@@ -149,56 +152,66 @@ def characteristic_polynomial(
             2.0 * mass_term * (g_mech * lorentz + gamma * w_sq)
             - 2.0 * gain * (gamma_sr * delta_m + gamma_m * delta_sr),
             mass_term * w_sq * lorentz + gain * delta_sr * reduced,
-        ]
+        ],
+        axis=-1,
     )
 
 
-def routh_first_column(coeffs) -> list[float]:
-    """First column of the Routh array for a real polynomial (leading first).
+def routh_first_column(coeffs) -> np.ndarray:
+    """First column of the Routh array for real polynomials (leading
+    coefficient first, on the last axis); broadcasts over leading axes.
 
-    Raises on a vanishing pivot before the table is complete; callers that
-    only need a verdict should use :func:`routh_hurwitz_stable`.
+    A vanishing pivot stays in the column as a zero, and so do the entries
+    below it: the table cannot be continued there, and the polynomial is
+    not strictly Hurwitz.
     """
-    c = [float(v) for v in coeffs]
-    width = (len(c) + 1) // 2
-    rows = [c[0::2], c[1::2]]
-    for row in rows:
-        row.extend([0.0] * (width + 1 - len(row)))
-    column = [rows[0][0], rows[1][0]]
-    for _ in range(len(c) - 2):
-        prev, top = rows[-1], rows[-2]
-        if prev[0] == 0.0:
-            raise ZeroDivisionError("vanishing Routh pivot")
-        new = [
-            (prev[0] * top[i + 1] - top[0] * prev[i + 1]) / prev[0]
-            for i in range(width)
-        ]
-        new.append(0.0)
-        rows.append(new)
-        column.append(new[0])
-    return column
+    c = np.asarray(coeffs, dtype=float)
+    n = c.shape[-1]
+    rows = np.concatenate([c, np.zeros(c.shape[:-1] + (n % 2 + 2,))], axis=-1)
+    top, prev = rows[..., 0::2], rows[..., 1::2]  # each padded with a trailing zero
+    column = [top[..., 0], prev[..., 0]]
+    for _ in range(n - 2):
+        pivot = prev[..., :1]
+        new = np.zeros_like(prev)
+        np.divide(pivot * top[..., 1:] - top[..., :1] * prev[..., 1:], pivot,
+                  out=new[..., :-1], where=pivot != 0.0)
+        top, prev = prev, new
+        column.append(new[..., 0])
+    return np.stack(column, axis=-1)
 
 
-def routh_hurwitz_stable(coeffs) -> bool:
-    """True iff every root of the real polynomial lies in the open left
-    half-plane, by positivity of the full Routh first column."""
+def _nondegenerate(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=float)
     # the coefficients legitimately span many orders of magnitude in SI
     # units, so only a genuinely vanishing leading term is degenerate
-    if c[0] == 0.0:
+    if np.any(c[..., 0] == 0.0):
         raise DegenerateLeadingCoefficientError("leading coefficient vanishes")
-    if c[0] < 0.0:
-        c = -c
-    try:
-        column = routh_first_column(c)
-    except ZeroDivisionError:
-        return False  # marginal or unstable, never strictly Hurwitz
-    return all(v > 0.0 for v in column)
+    return c
 
 
-def roots_stable(coeffs) -> bool:
-    """Direct oracle: all polynomial roots strictly in the left half-plane."""
-    return bool(np.all(np.roots(np.asarray(coeffs, dtype=float)).real < 0.0))
+def routh_hurwitz_stable(coeffs):
+    """True iff every root of the real polynomial lies in the open left
+    half-plane, by positivity of the full Routh first column; broadcasts
+    over leading axes."""
+    c = _nondegenerate(coeffs)
+    c = np.where(c[..., :1] < 0.0, -c, c)
+    return np.all(routh_first_column(c) > 0.0, axis=-1)
+
+
+def roots_stable(coeffs):
+    """Direct oracle: all polynomial roots strictly in the left half-plane.
+
+    Broadcasts over leading axes: the eigenvalues of the companion matrices
+    that :func:`numpy.roots` builds, in one batched call.  A zero constant
+    term is a root at 0, so not stable.
+    """
+    c = _nondegenerate(coeffs)
+    n = c.shape[-1] - 1
+    companion = np.zeros(c.shape[:-1] + (n, n))
+    companion[..., 1:, :-1] = np.eye(n - 1)
+    companion[..., 0, :] = -c[..., 1:] / c[..., :1]
+    roots = np.linalg.eigvals(companion)
+    return np.all(roots.real < 0.0, axis=-1) & (c[..., -1] != 0.0)
 
 
 def classify_regimes(spring, damping, spring_floor: float, damping_floor: float):
@@ -283,21 +296,12 @@ def stability_report(
         if spring_of(mid) > 0.0 and damping_of(mid) > 0.0:
             windows.append((float(a), float(b)))
 
-    cavity = cav.effective_cavity(config)
-    poly_args = (
-        cavity,
-        oscillator,
-        config.membrane,
-        config.input_power,
-        config.geometry.carrier_omega,
-        config.geometry.cavity_length,
+    coeffs = characteristic_polynomial(
+        cav.effective_cavity(config), oscillator, config.membrane, config.input_power,
+        config.geometry.carrier_omega, config.geometry.cavity_length, deltas,
     )
-    rh = np.empty(deltas.shape, dtype=bool)
-    direct = np.empty(deltas.shape, dtype=bool)
-    for i, d in enumerate(deltas):
-        coeffs = characteristic_polynomial(*poly_args, detuning=d)
-        rh[i] = routh_hurwitz_stable(coeffs)
-        direct[i] = roots_stable(coeffs)
+    rh = routh_hurwitz_stable(coeffs)
+    direct = roots_stable(coeffs)
 
     labels = classify_regimes(
         spring,

@@ -5,12 +5,14 @@ Matrices are plain (2, 2) complex numpy arrays acting on column vectors of
 field amplitudes.  Element matrices are real (Stokes form); the overall
 field phase is a gauge choice and never observable.
 
-Every physical observable uses tuned propagators: carrier phases split off
-and pinned by the operating point (see :mod:`ospring.cavity`), with only the
-sideband part k -> omega/c taken from the macroscopic lengths.  Only
-:func:`msi_matrix` takes its phases literally as k times a macroscopic
-length, for the algebraic identities (unitarity, energy closure) where the
-absolute phase is irrelevant.
+The field maps use tuned propagators: carrier phases split off and pinned
+by the operating point (see :mod:`ospring.cavity`), with only the sideband
+part k -> omega/c taken from the macroscopic lengths.  They are the matrix
+path that the closed forms of :mod:`ospring.backaction` and
+:mod:`ospring.noise` are checked against.  Only :func:`msi_matrix` takes its
+phases literally as k times a macroscopic length, for the algebraic
+identities (unitarity, energy closure) where the absolute phase is
+irrelevant.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .params import BeamsplitterParams, Geometry, MirrorParams
-
-# diag(1, -1): difference of the squared fields on the two membrane faces
-SIGMA3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
 DEGENERACY_FLOOR = 1e-14
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ospring import backaction as ba
 from ospring import cavity as cav
 from ospring.params import (
     C_LIGHT,
@@ -125,3 +126,30 @@ def static_kernel_oracle(config, step=1e-12):
     lower = face_difference(replace(config, offset=config.offset - step))
     gradient = (upper - lower) / (2.0 * step)
     return 2.0 * config.input_power / C_LIGHT * gradient
+
+
+def matrix_path_kernel(config, omega, arm_gauge=0.0):
+    """Exact kernel with its mean-field term taken from the matrix path.
+
+    The mean membrane-face fields come from the 2x2 products of
+    ``cav.membrane_field_matrices`` at the given carrier-phase gauge, and the
+    detector-port carrier amplitude y from the O(1) round-trip phase
+    ``cav.roundtrip_phase``; only the feedback term is shared with
+    ``ba.kernel_exact``.  Scalar configurations only.
+    """
+    om = np.asarray(omega, dtype=float)
+    m_inc, m_ref = cav.membrane_field_matrices(config, 0.0, arm_gauge)
+    a1, a2 = m_inc[0, 0], m_inc[1, 0]
+    b1, b2 = np.conj(m_ref[0, 0]), np.conj(m_ref[1, 0])
+    static = b1 * a1 - b2 * a2
+
+    rm, rb, tb = config.membrane.reflectivity, config.bs.reflectivity, config.bs.transmissivity
+    p_dp, _ = cav.dark_port_carrier(config)
+    tau = 2.0 * rm * rb * tb * (p_dp * cav.expm1i(config.geometry.wavenumber * config.offset)).real
+    d0 = cav.resonance_denominator(config, 0.0)
+    y = config.srm.reflectivity * np.exp(1j * cav.roundtrip_phase(config)) * tau / d0
+
+    upper = static - 2.0 * ba._feedback_term(config, om, y)
+    lower = static - 2.0 * ba._feedback_term(config, -om, y)
+    scale = 2j * config.geometry.wavenumber / C_LIGHT * rm * config.input_power
+    return scale * (upper - np.conj(lower))

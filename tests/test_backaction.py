@@ -1,15 +1,24 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ospring import backaction as ba
 from ospring import cavity as cav
 from ospring.cavity import EffectiveCavity
-from ospring.params import C_LIGHT, MirrorParams
+from ospring.params import (
+    C_LIGHT,
+    BeamsplitterParams,
+    Geometry,
+    InterferometerConfig,
+    MirrorParams,
+)
 
-from conftest import WAVELENGTH, static_kernel_oracle
+from conftest import WAVELENGTH, matrix_path_kernel, static_kernel_oracle
 
 GAMMA = 2 * math.pi * 133e3
 POWER = 0.2
@@ -106,11 +115,56 @@ def test_exact_kernel_conjugation_symmetry(narrow_config):
 
 
 def test_exact_kernel_gauge_invariance(narrow_config):
+    # the closed form against the matrix path, whose carrier phase has a gauge
     omega = np.linspace(0.2, 2.5, 9) * GAMMA
     base = ba.kernel_exact(narrow_config, omega)
     for gauge in (0.37, -2.2, math.pi):
-        moved = ba.kernel_exact(narrow_config, omega, arm_gauge=gauge)
+        moved = matrix_path_kernel(narrow_config, omega, arm_gauge=gauge)
         assert np.max(np.abs(moved - base) / np.abs(base)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    membrane_r2=hst.floats(0.05, 0.95),
+    asymmetry=hst.floats(-0.5, 0.5),
+    t_sr_sq=hst.floats(1e-5, 1e-2),
+    index=hst.sampled_from([1, 3, 5]),
+    offset=hst.floats(-0.02, 0.02),
+    span=hst.floats(0.1, 5.0),
+    omega_over_gamma=hst.floats(0.05, 3.0),
+    gauge=hst.floats(-math.pi, math.pi),
+)
+def test_exact_kernel_broadcasts_over_detuning(
+    membrane_r2, asymmetry, t_sr_sq, index, offset, span, omega_over_gamma, gauge
+):
+    membrane = MirrorParams.from_power_reflectivity(membrane_r2)
+    bs = BeamsplitterParams(asymmetry)
+    try:
+        cav.dark_port_phase(membrane, bs, index)
+    except cav.NoDarkPortError:
+        assume(False)
+    config = InterferometerConfig(
+        geometry=Geometry(0.05, 0.027, 0.01, WAVELENGTH),
+        membrane=membrane,
+        srm=MirrorParams.from_power_transmissivity(t_sr_sq),
+        bs=bs,
+        input_power=0.2,
+        dark_port_index=index,
+        offset=offset * WAVELENGTH,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # narrow-band validity is not at issue here
+        gamma = cav.effective_cavity(config).half_linewidth
+        deltas = np.linspace(-span, span, 9) * gamma
+        omega = omega_over_gamma * gamma
+        swept = ba.kernel_exact(cav.with_total_detuning(config, deltas), omega)
+        points = [cav.with_total_detuning(config, d) for d in deltas]
+    scalar = np.array([complex(ba.kernel_exact(point, omega)) for point in points])
+    matrix = np.array([complex(matrix_path_kernel(point, omega, gauge)) for point in points])
+    peak = np.max(np.abs(scalar))
+    assert swept.shape == deltas.shape
+    assert np.max(np.abs(swept - scalar)) <= 1e-12 * peak
+    assert np.max(np.abs(matrix - scalar)) <= 1e-9 * peak
 
 
 def test_oracle_equivalence_reference_regime(narrow_config):

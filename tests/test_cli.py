@@ -151,10 +151,15 @@ def test_freemass_rejects_frequency_sweep(tmp_path, capsys):
     assert run_cli("backaction", "--config", cfg, "--method", "freemass") == 2
 
 
-def test_detuning_sweep_needs_analysis_frequency(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["exact", "narrowband"])
+@pytest.mark.parametrize("frequency", ["missing", "0", "-5"])
+def test_detuning_sweep_needs_analysis_frequency(tmp_path, capsys, frequency, method):
     text = Path(preset_path("fig3d")).read_text()
+    if frequency != "missing":
+        text = text.replace("[physical]\n", f"[physical]\nmech_freq_hz = {frequency}\n")
     cfg = write_cfg(tmp_path, text)
-    assert run_cli("backaction", "--config", cfg, "--method", "exact") == 2
+    out = tmp_path / "out.csv"
+    assert run_cli("backaction", "--config", cfg, "--method", method, "--out", str(out)) == 2
     assert "mech_freq_hz" in capsys.readouterr().err
 
 
@@ -237,11 +242,19 @@ def test_stability_json_booleans(tmp_path):
     assert set(map(type, payload["regime_label"])) == {str}
 
 
-def test_validate_passes_reference_preset(tmp_path):
+@pytest.mark.parametrize("name", ["fig2c", "fig2d", "fig4a", "fig4b"])
+def test_validate_passes_reference_preset(tmp_path, name):
     out = tmp_path / "validate.txt"
-    assert run_cli("validate", "--config", preset_path("fig2c"), "--out", str(out)) == 0
+    assert run_cli("validate", "--config", preset_path(name), "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig3d"])
+def test_validate_gauge_check_on_free_mass_presets(tmp_path, name):
+    out = tmp_path / "validate.txt"
+    run_cli("validate", "--config", preset_path(name), "--out", str(out))
+    assert "PASS: carrier_phase_gauge_invariance" in out.read_text().splitlines()
 
 
 def test_deterministic_output(tmp_path):

@@ -145,10 +145,59 @@ def test_routh_table_known_polynomials():
     assert not st.roots_stable(poly)
     # marginal oscillator s^2 + 1: not strictly stable
     assert not st.routh_hurwitz_stable([1.0, 0.0, 1.0])
+    # its vanishing pivot stays in the column as a zero
+    assert list(st.routh_first_column([1.0, 0.0, 1.0])) == [1.0, 0.0, 0.0]
     with pytest.raises(st.DegenerateLeadingCoefficientError):
         st.routh_hurwitz_stable([0.0, 1.0, 1.0])
+    with pytest.raises(st.DegenerateLeadingCoefficientError):
+        st.roots_stable([0.0, 1.0, 1.0])
     column = st.routh_first_column([1, 4, 6, 4, 1])
     assert len(column) == 5 and all(v > 0 for v in column)
+    # a zero constant term is a root at s = 0: never strictly stable
+    assert not st.routh_hurwitz_stable([1, 3, 3, 1, 0])
+    assert not st.roots_stable([1, 3, 3, 1, 0])
+    # a stack gives one verdict per row, a stacked Routh column per row
+    stable_negated = -np.poly([-1.0, -2.0, -0.5, -3.0])
+    stack = np.array([[1, 4, 6, 4, 1], poly, [1, 3, 3, 1, 0], stable_negated])
+    expected = [True, False, False, True]
+    assert st.routh_hurwitz_stable(stack).tolist() == expected
+    assert st.roots_stable(stack).tolist() == expected
+    assert st.routh_first_column(stack).shape == (4, 5)
+    assert np.array_equal(st.routh_first_column(stack)[0], column)
+    with pytest.raises(st.DegenerateLeadingCoefficientError):
+        st.roots_stable(np.vstack([stack, [0.0, 1.0, 1.0, 1.0, 1.0]]))
+
+
+def _quartic(row):
+    """Real quartic from two conjugate root pairs and its verdict; the flag
+    replaces the second pair by its real part and a root at 0."""
+    factors, zero_root = row[:2], row[2]
+    roots = []
+    for re, im, left in factors:
+        re = -re if left else re
+        roots += [complex(re, im), complex(re, -im)]
+    if zero_root:
+        roots[2:] = [roots[2].real, 0.0]
+    stable = all(r.real < 0.0 for r in roots) and not zero_root
+    return np.poly(roots).real, stable
+
+
+_FACTOR = hst.tuples(hst.floats(0.1, 10.0), hst.floats(0.0, 5.0), hst.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=hst.lists(hst.tuples(_FACTOR, _FACTOR, hst.booleans()), min_size=1, max_size=12),
+    lead=hst.sampled_from([1.0, -2.5, 1e-12, 3e8]),
+)
+def test_stacked_verdicts_match_construction(rows, lead):
+    built = [_quartic(row) for row in rows]
+    coeffs = lead * np.array([c for c, _ in built])
+    expected = np.array([stable for _, stable in built])
+    per_row = np.array([np.all(np.roots(c).real < 0.0) for c in coeffs])
+    assert np.array_equal(per_row, expected)
+    assert np.array_equal(st.routh_hurwitz_stable(coeffs), expected)
+    assert np.array_equal(st.roots_stable(coeffs), expected)
 
 
 def test_canonical_detuned_free_mass_is_unstable(narrow_config):
