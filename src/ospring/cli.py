@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 I/O or parse errors, 2 validation failures.
 CSV contract: comma separator, dot decimal, LF line endings, UTF-8, one
 header row, shortest round-trip float formatting.  JSON output mirrors the
 CSV columns as arrays next to a ``meta`` block with the resolved SI
-parameters.  OSPRING_THREADS is accepted and validated; evaluation is
+parameters, laid out exactly as ``json.dumps(indent=2)`` would write it: one
+array element per line, non-finite floats spelled ``NaN``/``Infinity``/
+``-Infinity`` as ``json`` spells them.  Both formats are written a column at
+a time.  OSPRING_THREADS is accepted and validated; evaluation is
 single-threaded.
 """
 
@@ -15,6 +18,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,14 +38,11 @@ from .runconfig import (
 )
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -52,22 +53,45 @@ def _write_text(path: str | None, text: str) -> None:
         handle.write(text)
 
 
+def _cells(column, as_json: bool) -> list[str]:
+    """One column as cell strings, its type dispatched once.
+
+    Floats are formatted once per distinct bit pattern (so ``-0.0`` keeps
+    its sign); JSON turns integers into floats and spells non-finite values
+    as ``json`` does.
+    """
+    arr = np.asarray(column)
+    kind = arr.dtype.kind
+    if kind == "b":
+        return ["true" if v else "false" for v in arr.tolist()]
+    if kind == "U":
+        return list(map(encode_basestring_ascii, arr.tolist())) if as_json else arr.tolist()
+    if kind in "iu" and not as_json:
+        return list(map(str, arr.tolist()))
+    values = arr.astype(np.float64)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    distinct = list(map(float.__repr__, values[first].tolist()))
+    if as_json and not np.isfinite(values).all():
+        distinct = [_JSON_NON_FINITE.get(text, text) for text in distinct]
+    return list(map(distinct.__getitem__, inverse.tolist()))
+
+
 def _emit_table(header, columns, run: RunConfig, out: str | None, fmt: str | None) -> None:
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
     if fmt == "csv":
         lines = [",".join(header)]
-        rows = zip(*columns)
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(map(",".join, zip(*(_cells(column, False) for column in columns))))
         _write_text(path, "\n".join(lines) + "\n")
         return
-    payload = {"meta": _meta(run)}
+    # the layout json.dumps(payload, indent=2) writes, one array element per line
+    parts = [json.dumps({"meta": _meta(run)}, indent=2)[: -len("\n}")]]
     for name, column in zip(header, columns):
-        payload[name] = [
-            v if isinstance(v, str) else (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
-            for v in column
-        ]
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+        parts.append(f",\n  {encode_basestring_ascii(name)}: [\n    ")
+        parts.append(",\n    ".join(_cells(column, True)))
+        parts.append("\n  ]")
+    parts.append("\n}\n")
+    _write_text(path, "".join(parts))
 
 
 def _meta(run: RunConfig) -> dict:
@@ -434,6 +458,9 @@ def main(argv=None) -> int:
         ValueError,
     ) as exc:
         print(f"ospring: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"ospring: sweep grid too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,7 @@ import pytest
 import ospring
 from ospring import cli
 from ospring.presets import PRESET_METHODS, PRESET_NAMES, PRESET_SUBCOMMANDS, preset_path
+from ospring.runconfig import load_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -325,3 +326,122 @@ def test_runtime_needs_no_scipy(tmp_path, name):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+def test_oversized_sweep_is_validation_exit(tmp_path, capsys):
+    # 1e15 float64 points is 7.1 PiB, beyond the x86-64 user address space:
+    # the allocation fails at once and never touches memory
+    text = Path(preset_path("fig2c")).read_text()
+    cfg = write_cfg(tmp_path, text.replace("points = 241", "points = 1000000000000000"))
+    out = tmp_path / "out.csv"
+    assert run_cli("backaction", "--config", cfg, "--method", "narrowband", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("ospring: sweep grid too large: ")
+    assert not out.exists()
+
+
+# The row-wise emitter that the column-wise one replaced, kept verbatim as
+# the byte contract of the CSV, JSON and scalar outputs.
+def _reference_fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _reference_emit_table(header, columns, run, out, fmt):
+    fmt = fmt or run.output.fmt
+    path = out if out is not None else run.output.path
+    if fmt == "csv":
+        lines = [",".join(header)]
+        rows = zip(*columns)
+        lines.extend(",".join(_reference_fmt(v) for v in row) for row in rows)
+        cli._write_text(path, "\n".join(lines) + "\n")
+        return
+    payload = {"meta": cli._meta(run)}
+    for name, column in zip(header, columns):
+        payload[name] = [
+            v if isinstance(v, str) else (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
+            for v in column
+        ]
+    cli._write_text(path, json.dumps(payload, indent=2) + "\n")
+
+
+def _reference_and_columnwise(monkeypatch, tmp_path, *argv):
+    """Exit code and output bytes of one CLI run under each emitter."""
+    results = []
+    for reference in (True, False):
+        out = tmp_path / ("reference" if reference else "columnwise")
+        with monkeypatch.context() as patch:
+            if reference:
+                patch.setattr(cli, "_emit_table", _reference_emit_table)
+                patch.setattr(cli, "_fmt", _reference_fmt)
+            code = run_cli(*argv, "--out", str(out))
+        results.append((code, out.read_bytes() if out.exists() else None))
+    return results
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitter_bytes_on_synthetic_table(tmp_path, fmt):
+    run = load_config(preset_path("fig2c"))
+    header = ["float", "strided", "np_bool", "py_bool", "int", "label"]
+    columns = [
+        np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5]),
+        (np.linspace(-1.0, 1.0, 12) * (1.0 - 2.0j)).imag,  # non-contiguous view
+        np.arange(12) % 3 == 0,
+        [i % 2 == 0 for i in range(12)],
+        np.arange(12, dtype=np.int64) * 10**15 + 2**53 + 1,
+        np.array(["cooling", "heating", 'say "hi"', "héating", "neutral", "stable_spring"] * 2,
+                 dtype="U15"),
+    ]
+    outputs = []
+    for emit in (_reference_emit_table, cli._emit_table):
+        out = tmp_path / f"{emit.__name__}.{fmt}"
+        emit(header, columns, run, str(out), fmt)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    if fmt == "json":
+        payload = json.loads(outputs[1])
+        assert str(payload["float"][:4]) == "[nan, inf, -inf, -0.0]"
+        assert payload["label"][3] == "héating"
+
+
+EMITTING_COMMANDS = (
+    ("darkport",),
+    ("cavity",),
+    ("spectrum",),
+    ("backaction", "--method", "exact"),
+    ("backaction", "--method", "narrowband"),
+    ("backaction", "--method", "freemass"),
+    ("stability",),
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_emitter_bytes_on_presets(monkeypatch, tmp_path, name, fmt):
+    accepted = set()
+    for command in EMITTING_COMMANDS:
+        argv = [*command, "--config", preset_path(name), "--format", fmt]
+        reference, columnwise = _reference_and_columnwise(monkeypatch, tmp_path, *argv)
+        assert reference == columnwise, argv
+        if reference[0] == 0:
+            accepted.add(command[0] if len(command) == 1 else command[2])
+    own = PRESET_METHODS.get(name, PRESET_SUBCOMMANDS[name])
+    assert {"darkport", "cavity", own} <= accepted
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("offsets", [(0.0003, 0.003, 5), (0.001, 0.001, 3)])
+def test_emitter_bytes_on_map(monkeypatch, tmp_path, offsets, fmt):
+    start, stop, points = offsets
+    text = Path(preset_path("fig3d")).read_text().replace("points = 241", "points = 41")
+    text += f"\n[sweep2]\nvariable = offset_xi_lambda0\nstart = {start}\nstop = {stop}\npoints = {points}\n"
+    cfg = write_cfg(tmp_path, text)
+    reference, columnwise = _reference_and_columnwise(
+        monkeypatch, tmp_path, "map", "--config", cfg, "--format", fmt
+    )
+    assert reference[0] == 0
+    assert reference == columnwise

@@ -16,6 +16,7 @@ COUNTED_ARGUMENTS = {
     ("noise", "back_action_spectrum"): {1: "omega"},
     ("backaction", "kernel_narrowband"): {5: "omega", 6: "detuning"},
     ("stability", "regime_map"): {2: "offsets"},
+    ("cli", "_emit_table"): {0: "header", 1: "columns"},
 }
 
 
