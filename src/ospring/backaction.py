@@ -130,6 +130,12 @@ def _gain(membrane: MirrorParams, input_power: float, carrier_omega: float, cavi
     return 4.0 * carrier_omega * membrane.reflectivity**2 * input_power / (C_LIGHT * cavity_length)
 
 
+def _gain_inputs(config: InterferometerConfig):
+    """The arguments of :func:`_gain`, which the narrow-band laws take after the cavity."""
+    geom = config.geometry
+    return config.membrane, config.input_power, geom.carrier_omega, geom.cavity_length
+
+
 def kernel_narrowband(
     cavity: EffectiveCavity,
     membrane: MirrorParams,
@@ -165,15 +171,7 @@ def kernel_narrowband(
 
 def kernel_narrowband_config(config: InterferometerConfig, omega, detuning=None):
     """Narrow-band kernel with rates reduced from a full configuration."""
-    return kernel_narrowband(
-        cav.effective_cavity(config),
-        config.membrane,
-        config.input_power,
-        config.geometry.carrier_omega,
-        config.geometry.cavity_length,
-        omega,
-        detuning,
-    )
+    return kernel_narrowband(cav.effective_cavity(config), *_gain_inputs(config), omega, detuning)
 
 
 def spring_damping_dc(

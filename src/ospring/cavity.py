@@ -260,10 +260,10 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
 
     tau_sq = abs(complex(tau)) ** 2
     if t_sr**2 > NARROWBAND_WARN or tau_sq > NARROWBAND_WARN:
+        # attributed to this line, so the default filter shows it once per process
         warnings.warn(
             "narrow-band decomposition is unreliable: recycling-mirror or "
-            "interferometer power transmittance exceeds 0.1",
-            stacklevel=2,
+            "interferometer power transmittance exceeds 0.1"
         )
 
     gamma_sr = C_LIGHT * t_sr**2 / (4.0 * lc)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -76,7 +77,9 @@ def _cells(column, as_json: bool) -> list[str]:
     return list(map(distinct.__getitem__, inverse.tolist()))
 
 
-def _emit_table(header, columns, run: RunConfig, out: str | None, fmt: str | None) -> None:
+def _emit_table(
+    header, columns, run: RunConfig, config, cavity, out: str | None, fmt: str | None
+) -> None:
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
     if fmt == "csv":
@@ -85,7 +88,7 @@ def _emit_table(header, columns, run: RunConfig, out: str | None, fmt: str | Non
         _write_text(path, "\n".join(lines) + "\n")
         return
     # the layout json.dumps(payload, indent=2) writes, one array element per line
-    parts = [json.dumps({"meta": _meta(run)}, indent=2)[: -len("\n}")]]
+    parts = [json.dumps({"meta": _meta(run, config, cavity)}, indent=2)[: -len("\n}")]]
     for name, column in zip(header, columns):
         parts.append(f",\n  {encode_basestring_ascii(name)}: [\n    ")
         parts.append(",\n    ".join(_cells(column, True)))
@@ -94,9 +97,7 @@ def _emit_table(header, columns, run: RunConfig, out: str | None, fmt: str | Non
     _write_text(path, "".join(parts))
 
 
-def _meta(run: RunConfig) -> dict:
-    config = run.interferometer()
-    cavity = cav.effective_cavity(config)
+def _meta(run: RunConfig, config, cavity) -> dict:
     geom = config.geometry
     meta = {
         "wavelength_m": geom.wavelength,
@@ -178,8 +179,7 @@ def _check_threads() -> None:
         raise ValidationError(f"OSPRING_THREADS must be an integer, got {raw!r}") from exc
 
 
-def cmd_darkport(run: RunConfig, args) -> int:
-    config = run.interferometer()
+def cmd_darkport(run: RunConfig, config, cavity, args) -> int:
     geom = config.geometry
     offset_dp = cav.dark_port_offset(
         config.membrane, config.bs, geom.wavelength, config.dark_port_index
@@ -199,8 +199,7 @@ def cmd_darkport(run: RunConfig, args) -> int:
     return 0
 
 
-def cmd_cavity(run: RunConfig, args) -> int:
-    cavity = cav.effective_cavity(run.interferometer())
+def cmd_cavity(run: RunConfig, config, cavity, args) -> int:
     lines = [
         f"total_detuning_rad_s = {_fmt(cavity.detuning)}",
         f"srm_detuning_rad_s = {_fmt(cavity.srm_detuning)}",
@@ -214,31 +213,23 @@ def cmd_cavity(run: RunConfig, args) -> int:
     return 0
 
 
-def cmd_spectrum(run: RunConfig, args) -> int:
-    config = run.interferometer()
+def cmd_spectrum(run: RunConfig, config, cavity, args) -> int:
     sweep = _single_sweep(run, OMEGA_SWEEP_KEYS)
-    omega = _scaled_grid(sweep, cav.effective_cavity(config).half_linewidth)
+    omega = _scaled_grid(sweep, cavity.half_linewidth)
     spectrum = noi.back_action_spectrum(config, omega)
     if run.output.normalize:
         spectrum = spectrum.normalized()
     columns = [spectrum.omega, spectrum.total, spectrum.laser_part, spectrum.detector_part]
     header = ["omega_rad_s", "s_f", "laser_part", "detector_part"]
-    _emit_table(header, columns, run, args.out, args.format)
+    _emit_table(header, columns, run, config, cavity, args.out, args.format)
     return 0
 
 
-def cmd_backaction(run: RunConfig, args) -> int:
-    config = run.interferometer()
-    cavity = cav.effective_cavity(config)
+def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
     gamma = cavity.half_linewidth
     sweep = _single_sweep(run, DETUNING_KEYS + OMEGA_SWEEP_KEYS)
     raw = sweep.grid()
-    shared = (
-        config.membrane,
-        config.input_power,
-        config.geometry.carrier_omega,
-        config.geometry.cavity_length,
-    )
+    shared = ba._gain_inputs(config)
 
     if sweep.variable in OMEGA_SWEEP_KEYS:
         if args.method == "freemass":
@@ -262,37 +253,35 @@ def cmd_backaction(run: RunConfig, args) -> int:
             spring, damping = ba.spring_damping(kernel, omega_eval)
         else:
             omega_eval = _analysis_frequency(run)
-            kernel = ba.kernel_exact(cav.with_total_detuning(config, deltas), omega_eval)
+            # cav.with_total_detuning's arithmetic, on the cavity already reduced
+            swept = replace(config, srm_detuning=deltas - cavity.membrane_detuning)
+            kernel = ba.kernel_exact(swept, omega_eval)
             spring, damping = ba.spring_damping(kernel, omega_eval)
 
     header = ["sweep_var", "k_re", "k_im", "spring_n_per_m", "damping_ns_per_m"]
     columns = [raw, kernel.real, kernel.imag, spring, damping]
     if run.output.normalize:
         columns = _normalize_columns(columns, header, set(header[1:]))
-    _emit_table(header, columns, run, args.out, args.format)
+    _emit_table(header, columns, run, config, cavity, args.out, args.format)
     return 0
 
 
-def cmd_stability(run: RunConfig, args) -> int:
+def cmd_stability(run: RunConfig, config, cavity, args) -> int:
     run.require("mass_kg")
-    config = run.interferometer()
     oscillator = run.oscillator()
-    gamma = cav.effective_cavity(config).half_linewidth
     sweep = _single_sweep(run, DETUNING_KEYS)
-    deltas = _scaled_grid(sweep, gamma)
+    deltas = _scaled_grid(sweep, cavity.half_linewidth)
     report = st.stability_report(config, oscillator, deltas, oscillator.resonance_frequency)
 
     header = ["delta_rad_s", "spring", "damping", "regime_label", "rh_stable"]
     columns = [report.deltas, report.spring, report.damping, report.labels, report.rh_verdicts]
     if run.output.normalize:
         columns = _normalize_columns(columns, header, {"spring", "damping"})
-    _emit_table(header, columns, run, args.out, args.format)
+    _emit_table(header, columns, run, config, cavity, args.out, args.format)
     return 0
 
 
-def cmd_map(run: RunConfig, args) -> int:
-    config = run.interferometer()
-    gamma = cav.effective_cavity(config).half_linewidth
+def cmd_map(run: RunConfig, config, cavity, args) -> int:
     if len(run.sweeps) != 2:
         raise ValidationError("the map subcommand needs [sweep] and [sweep2] sections")
     by_kind = {}
@@ -303,7 +292,7 @@ def cmd_map(run: RunConfig, args) -> int:
             by_kind["offset"] = sweep
     if set(by_kind) != {"detuning", "offset"}:
         raise ValidationError("map sweeps must cover a detuning key and offset_xi_lambda0")
-    deltas = _scaled_grid(by_kind["detuning"], gamma)
+    deltas = _scaled_grid(by_kind["detuning"], cavity.half_linewidth)
     offsets = by_kind["offset"].grid() * config.geometry.wavelength
     omega_eval = 2.0 * math.pi * run.physical.get("mech_freq_hz", 0.0)
 
@@ -320,13 +309,11 @@ def cmd_map(run: RunConfig, args) -> int:
     ]
     if run.output.normalize:
         columns = _normalize_columns(columns, header, {"spring", "damping"})
-    _emit_table(header, columns, run, args.out, args.format)
+    _emit_table(header, columns, run, config, cavity, args.out, args.format)
     return 0
 
 
-def cmd_validate(run: RunConfig, args) -> int:
-    config = run.interferometer()
-    cavity = cav.effective_cavity(config)
+def cmd_validate(run: RunConfig, config, cavity, args) -> int:
     gamma = cavity.half_linewidth
     checks = []
 
@@ -393,7 +380,7 @@ def cmd_validate(run: RunConfig, args) -> int:
             return True  # outside the narrow-band regime the comparison is not meaningful
         omega = np.linspace(0.1, 3.0, 31) * gamma
         exact = ba.kernel_exact(config, omega)
-        approx = ba.kernel_narrowband_config(config, omega)
+        approx = ba.kernel_narrowband(cavity, *ba._gain_inputs(config), omega)
         return np.max(np.abs(exact - approx) / np.abs(exact)) < 0.05
 
     check("unitarity_and_energy_closure", unitarity)
@@ -443,7 +430,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = load_config(args.config)
-        return HANDLERS[args.command](run, args)
+        config = run.interferometer()
+        return HANDLERS[args.command](run, config, cav.effective_cavity(config), args)
     except ParseError as exc:
         print(f"ospring: parse error: {exc}", file=sys.stderr)
         return 1

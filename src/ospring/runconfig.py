@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,20 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
+def _parse_positive(text: str) -> float:
+    value = _parse_float(text)
+    if not value > 0.0:
+        raise ValueError(f"{text!r} is not positive")
+    return value
+
+
+def _parse_nonnegative(text: str) -> float:
+    value = _parse_float(text)
+    if value < 0.0:
+        raise ValueError(f"{text!r} is negative")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered not in ("true", "false"):
@@ -72,9 +86,9 @@ PHYSICAL_KEYS = {
     "offset_xi_lambda0": _parse_float,
     "detuning_over_gamma": _parse_float,
     "detuning_rad_s": _parse_float,
-    "mass_kg": _parse_float,
-    "mech_freq_hz": _parse_float,
-    "mech_damping_hz": _parse_float,
+    "mass_kg": _parse_positive,
+    "mech_freq_hz": _parse_nonnegative,
+    "mech_damping_hz": _parse_nonnegative,
 }
 
 REQUIRED_PHYSICAL = (
@@ -141,13 +155,13 @@ class RunConfig:
             dark_port_index=p["dark_port_index"],
             offset=p["offset_xi_lambda0"] * wavelength,
         )
-        return cav.with_total_detuning(base, self.total_detuning(base))
-
-    def total_detuning(self, base: InterferometerConfig) -> float:
-        if "detuning_rad_s" in self.physical:
-            return self.physical["detuning_rad_s"]
-        gamma = cav.effective_cavity(base).half_linewidth
-        return self.physical["detuning_over_gamma"] * gamma
+        # one reduction gives both the linewidth unit of the detuning and the
+        # membrane share that the recycling tuning leaves out
+        cavity = cav.effective_cavity(base)
+        total = p.get("detuning_rad_s")
+        if total is None:
+            total = p["detuning_over_gamma"] * cavity.half_linewidth
+        return replace(base, srm_detuning=total - cavity.membrane_detuning)
 
     def oscillator(self) -> MechanicalOscillator | None:
         if "mass_kg" not in self.physical:

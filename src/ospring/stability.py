@@ -227,18 +227,15 @@ def classify_regimes(spring, damping, spring_floor: float, damping_floor: float)
     return labels
 
 
-def _spring_damping_sweep(config: InterferometerConfig, deltas, omega_eval: float | None):
-    """Spring and damping over a detuning grid at a fixed analysis frequency.
+def _spring_damping_sweep(
+    config: InterferometerConfig, cavity: EffectiveCavity, deltas, omega_eval: float | None
+):
+    """Spring and damping over a detuning grid at a fixed analysis frequency,
+    from the cavity that ``config`` reduces to.
 
     ``omega_eval`` of None or 0 selects the quasi-static limit.
     """
-    cavity = cav.effective_cavity(config)
-    args = (
-        config.membrane,
-        config.input_power,
-        config.geometry.carrier_omega,
-        config.geometry.cavity_length,
-    )
+    args = ba._gain_inputs(config)
     deltas = np.asarray(deltas, dtype=float)
     if not omega_eval:
         return ba.spring_damping_dc(cavity, *args, detuning=deltas)
@@ -271,35 +268,33 @@ def stability_report(
 ) -> StabilityReport:
     """Full detuning-sweep stability analysis at a fixed analysis frequency."""
     deltas = np.asarray(deltas, dtype=float)
-    spring, damping = _spring_damping_sweep(config, deltas, omega_eval)
+    cavity = cav.effective_cavity(config)
+
+    def sweep(d):
+        return _spring_damping_sweep(config, cavity, d, omega_eval)
 
     def spring_of(d):
-        return float(_spring_damping_sweep(config, d, omega_eval)[0])
+        return float(sweep(d)[0])
 
     def damping_of(d):
-        return float(_spring_damping_sweep(config, d, omega_eval)[1])
+        return float(sweep(d)[1])
 
-    # the scan is one broadcast; the kernel is rational in the detuning, so its
-    # samples are the same bits that the scalar functions above return
+    # the scan and the window test are broadcasts; the kernel is rational in
+    # the detuning, so their samples are the same bits the scalar functions give
+    spring, damping = sweep(deltas)
     lo, hi = float(deltas[0]), float(deltas[-1])
     grid, xtol = _scan_grid(lo, hi, n_scan)
-    scan_spring, scan_damping = _spring_damping_sweep(config, grid, omega_eval)
+    scan_spring, scan_damping = sweep(grid)
     spring_zeros = _sign_change_zeros(spring_of, grid, scan_spring, xtol)
     damping_zeros = _sign_change_zeros(damping_of, grid, scan_damping, xtol)
 
     boundaries = np.concatenate(([lo], np.sort(np.concatenate([spring_zeros, damping_zeros])), [hi]))
-    windows = []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        if b - a <= 0.0:
-            continue
-        mid = 0.5 * (a + b)
-        if spring_of(mid) > 0.0 and damping_of(mid) > 0.0:
-            windows.append((float(a), float(b)))
+    starts, ends = boundaries[:-1], boundaries[1:]
+    mid_spring, mid_damping = sweep(0.5 * (starts + ends))
+    stable = (ends - starts > 0.0) & (mid_spring > 0.0) & (mid_damping > 0.0)
+    windows = [(float(a), float(b)) for a, b in zip(starts[stable], ends[stable])]
 
-    coeffs = characteristic_polynomial(
-        cav.effective_cavity(config), oscillator, config.membrane, config.input_power,
-        config.geometry.carrier_omega, config.geometry.cavity_length, deltas,
-    )
+    coeffs = characteristic_polynomial(cavity, oscillator, *ba._gain_inputs(config), deltas)
     rh = routh_hurwitz_stable(coeffs)
     direct = roots_stable(coeffs)
 
@@ -339,8 +334,8 @@ def regime_map(
         raise ValueError("regime map grids must be nonempty")
 
     rows = [
-        _spring_damping_sweep(replace(config, offset=float(x)), deltas, omega_eval)
-        for x in offsets
+        _spring_damping_sweep(row, cav.effective_cavity(row), deltas, omega_eval)
+        for row in (replace(config, offset=float(x)) for x in offsets)
     ]
     spring = np.vstack([r[0] for r in rows])
     damping = np.vstack([r[1] for r in rows])

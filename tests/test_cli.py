@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import ospring
+from ospring import cavity as cav
 from ospring import cli
+from ospring import stability as st
 from ospring.presets import PRESET_METHODS, PRESET_NAMES, PRESET_SUBCOMMANDS, preset_path
-from ospring.runconfig import load_config
+from ospring.runconfig import RunConfig, load_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -351,7 +353,7 @@ def _reference_fmt(value) -> str:
     return str(value)
 
 
-def _reference_emit_table(header, columns, run, out, fmt):
+def _reference_emit_table(header, columns, run, config, cavity, out, fmt):
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
     if fmt == "csv":
@@ -360,7 +362,7 @@ def _reference_emit_table(header, columns, run, out, fmt):
         lines.extend(",".join(_reference_fmt(v) for v in row) for row in rows)
         cli._write_text(path, "\n".join(lines) + "\n")
         return
-    payload = {"meta": cli._meta(run)}
+    payload = {"meta": cli._meta(run, config, cavity)}
     for name, column in zip(header, columns):
         payload[name] = [
             v if isinstance(v, str) else (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
@@ -386,6 +388,8 @@ def _reference_and_columnwise(monkeypatch, tmp_path, *argv):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emitter_bytes_on_synthetic_table(tmp_path, fmt):
     run = load_config(preset_path("fig2c"))
+    config = run.interferometer()
+    cavity = cav.effective_cavity(config)
     header = ["float", "strided", "np_bool", "py_bool", "int", "label"]
     columns = [
         np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5]),
@@ -399,7 +403,7 @@ def test_emitter_bytes_on_synthetic_table(tmp_path, fmt):
     outputs = []
     for emit in (_reference_emit_table, cli._emit_table):
         out = tmp_path / f"{emit.__name__}.{fmt}"
-        emit(header, columns, run, str(out), fmt)
+        emit(header, columns, run, config, cavity, str(out), fmt)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     if fmt == "json":
@@ -445,3 +449,110 @@ def test_emitter_bytes_on_map(monkeypatch, tmp_path, offsets, fmt):
     )
     assert reference[0] == 0
     assert reference == columnwise
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("mass_kg", "-1"), ("mass_kg", "0"), ("mech_freq_hz", "-133000"), ("mech_damping_hz", "-5")],
+)
+def test_mechanical_keys_are_validated_in_every_format(tmp_path, capsys, key, value, fmt):
+    text = Path(preset_path("fig2c")).read_text()
+    line = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    cfg = write_cfg(tmp_path, text.replace(line, f"{key} = {value}"))
+    out = tmp_path / "out"
+    assert run_cli(
+        "backaction", "--config", cfg, "--method", "narrowband", "--format", fmt, "--out", str(out)
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ospring:") and f"'{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_rejects_negative_mechanical_frequency(tmp_path, capsys, fmt):
+    text = Path(preset_path("fig3d")).read_text().replace("points = 241", "points = 21")
+    assert "mass_kg" not in text
+    text = text.replace("[physical]\n", "[physical]\nmech_freq_hz = -133000\n")
+    text += "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0.0003\nstop = 0.003\npoints = 3\n"
+    cfg = write_cfg(tmp_path, text)
+    assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(tmp_path / "map")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ospring:") and "'mech_freq_hz'" in err
+
+
+REDUCING_COMMANDS = EMITTING_COMMANDS + (("validate",),)
+
+
+def _count_reductions(monkeypatch):
+    """Wrap the configuration and cavity reductions with call counters.
+
+    Returns the counters and the list of reductions made inside each
+    ``stability_report`` call.
+    """
+    counts = {"interferometer": 0, "cavity": 0}
+    inside_report = []
+
+    def counting(key, real):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    interferometer = counting("interferometer", RunConfig.interferometer)
+    monkeypatch.setattr(RunConfig, "interferometer", interferometer)
+    monkeypatch.setattr(cav, "effective_cavity", counting("cavity", cav.effective_cavity))
+    real_report = st.stability_report
+
+    def report(*args, **kwargs):
+        before = counts["cavity"]
+        result = real_report(*args, **kwargs)
+        inside_report.append(counts["cavity"] - before)
+        return result
+
+    monkeypatch.setattr(st, "stability_report", report)
+    return counts, inside_report
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_each_run_reduces_its_operating_point_once(monkeypatch, tmp_path, name, fmt):
+    counts, inside_report = _count_reductions(monkeypatch)
+    for command in REDUCING_COMMANDS:
+        counts.update(interferometer=0, cavity=0)
+        argv = [*command, "--config", preset_path(name), "--format", fmt]
+        run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert counts["interferometer"] == 1, argv
+        assert counts["cavity"] <= 3, argv
+    assert inside_report == ([1] if name in ("fig2c", "fig2d") else [])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_reduces_once_per_offset_row(monkeypatch, tmp_path, fmt):
+    text = Path(preset_path("fig3d")).read_text().replace("points = 241", "points = 21")
+    text += "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0.0003\nstop = 0.003\npoints = 5\n"
+    cfg = write_cfg(tmp_path, text)
+    counts, _ = _count_reductions(monkeypatch)
+    assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(tmp_path / "map")) == 0
+    assert counts["interferometer"] == 1
+    assert counts["cavity"] <= 2 + 5
+
+
+NARROWBAND_WARNING = "narrow-band decomposition is unreliable"
+
+
+@pytest.mark.parametrize(
+    "command", [("spectrum",), ("spectrum", "--format", "json"), ("cavity",), ("validate",)]
+)
+def test_narrowband_warning_shows_once_per_run(tmp_path, command):
+    # a subprocess sees the warning as a user does; pytest's capture records every call
+    src = str(Path(ospring.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    argv = [*command, "--config", preset_path("fig4b"), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ospring.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count(NARROWBAND_WARNING) == 1, proc.stderr

@@ -399,8 +399,9 @@ def test_regime_map_deterministic_across_workers(narrow_config):
     offsets = np.linspace(0.0, 0.02, 7) * WAVELENGTH
     grid = st.regime_map(narrow_config, deltas, offsets, 0.5 * gamma)
     for i, x in enumerate(offsets):
+        row = replace(narrow_config, offset=float(x))
         spring, damping = st._spring_damping_sweep(
-            replace(narrow_config, offset=float(x)), deltas, 0.5 * gamma
+            row, cav.effective_cavity(row), deltas, 0.5 * gamma
         )
         assert np.array_equal(grid.spring[i], spring)
         assert np.array_equal(grid.damping[i], damping)
