@@ -49,10 +49,9 @@ def _carrier(config: InterferometerConfig):
 
     tau vanishes on the dark port and is formed from its excess.
     """
-    rm, tm = config.membrane.reflectivity, config.membrane.transmissivity
+    tm = config.membrane.transmissivity
     rb, tb = config.bs.reflectivity, config.bs.transmissivity
-    p_dp, _ = cav.dark_port_carrier(config)
-    tau = 2.0 * rm * rb * tb * (p_dp * cav.expm1i(config.geometry.wavenumber * config.offset)).real
+    tau, _ = cav._excess(config, config.geometry.wavenumber * config.offset)
     d0 = cav.resonance_denominator(config, 0.0)
     y = config.srm.reflectivity * _roundtrip(config, 0.0) * tau / d0
     fields = np.exp(-1j * cav.imbalance_phase(config)) * (rb + tb * np.conj(y)) * (tb - rb * y)
@@ -136,6 +135,22 @@ def _gain_inputs(config: InterferometerConfig):
     return config.membrane, config.input_power, geom.carrier_omega, geom.cavity_length
 
 
+def _narrowband_terms(cavity: EffectiveCavity, detuning):
+    """``(gamma, delta_m, delta_sr, lorentz, reduced, cross)`` of the narrow-band
+    laws at total detuning ``detuning`` (None: the cavity's own): reduced =
+    lorentz - 4*(gamma*gamma_m + delta*delta_m), cross = gamma_sr*delta_m +
+    gamma_m*delta_sr.  Squares are products, so scalar and array cavities round alike."""
+    delta = cavity.detuning if detuning is None else np.asarray(detuning, dtype=float)
+    gamma = cavity.half_linewidth
+    gamma_m = cavity.membrane_half_linewidth
+    delta_m = cavity.membrane_detuning
+    delta_sr = delta - delta_m
+    lorentz = gamma * gamma + delta * delta
+    reduced = lorentz - 4.0 * (gamma * gamma_m + delta * delta_m)
+    cross = cavity.srm_half_linewidth * delta_m + gamma_m * delta_sr
+    return gamma, delta_m, delta_sr, lorentz, reduced, cross
+
+
 def kernel_narrowband(
     cavity: EffectiveCavity,
     membrane: MirrorParams,
@@ -152,21 +167,10 @@ def kernel_narrowband(
     makes detuning sweeps cheap.
     """
     om = np.asarray(omega, dtype=float)
-    delta = cavity.detuning if detuning is None else np.asarray(detuning, dtype=float)
-    gamma = cavity.half_linewidth
-    gamma_sr = cavity.srm_half_linewidth
-    gamma_m = cavity.membrane_half_linewidth
-    delta_m = cavity.membrane_detuning
-    delta_sr = delta - delta_m
-
-    lorentz = gamma**2 + delta**2
+    gamma, delta_m, delta_sr, lorentz, reduced, cross = _narrowband_terms(cavity, detuning)
     prefactor = _gain(membrane, input_power, carrier_omega, cavity_length)
-    braces = (
-        delta_sr * (lorentz - 4.0 * (gamma * gamma_m + delta * delta_m))
-        + 2j * (gamma_sr * delta_m + gamma_m * delta_sr) * om
-        + delta_m * om**2
-    ) / lorentz
-    return prefactor * braces / (delta**2 + (gamma - 1j * om) ** 2)
+    braces = (delta_sr * reduced + 2j * cross * om + delta_m * (om * om)) / lorentz
+    return prefactor * braces / ((lorentz - om * om) - 2j * (gamma * om))
 
 
 def kernel_narrowband_config(config: InterferometerConfig, omega, detuning=None):
@@ -188,22 +192,11 @@ def spring_damping_dc(
     limit; :func:`free_mass_spring_damping` is its zero-membrane-detuning
     special case.
     """
-    delta = cavity.detuning if detuning is None else np.asarray(detuning, dtype=float)
-    gamma = cavity.half_linewidth
-    gamma_sr = cavity.srm_half_linewidth
-    gamma_m = cavity.membrane_half_linewidth
-    delta_m = cavity.membrane_detuning
-    delta_sr = delta - delta_m
-
-    lorentz = gamma**2 + delta**2
+    gamma, _, delta_sr, lorentz, reduced, cross = _narrowband_terms(cavity, detuning)
     prefactor = _gain(membrane, input_power, carrier_omega, cavity_length)
-    reduced = lorentz - 4.0 * (gamma * gamma_m + delta * delta_m)
-    spring = prefactor * delta_sr * reduced / lorentz**2
-    damping = (
-        -prefactor
-        * (gamma * delta_sr * reduced / lorentz + gamma_sr * delta_m + gamma_m * delta_sr)
-        / lorentz**2
-    )
+    lorentz_sq = lorentz * lorentz
+    spring = prefactor * delta_sr * reduced / lorentz_sq
+    damping = -prefactor * (gamma * delta_sr * reduced / lorentz + cross) / lorentz_sq
     return spring, damping
 
 

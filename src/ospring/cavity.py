@@ -83,14 +83,19 @@ def imbalance_phase(config: InterferometerConfig) -> float:
 
 def dark_port_carrier(config: InterferometerConfig):
     """Carrier ``(exp(i*psi_dp), rho2_dp)`` on the dark port; |rho2_dp| = 1 as tau vanishes."""
-    return _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
+    return _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)[:2]
 
 
 @lru_cache(maxsize=128)
 def _dark_port_carrier(membrane: MirrorParams, bs: BeamsplitterParams, index: int):
+    """``(p_dp, rho2_dp)`` followed by the coefficients of :func:`_excess`."""
     psi_dp = dark_port_phase(membrane, bs, index)
     _, rho2, _ = to.effective_mirror(membrane, bs, psi_dp)
-    return cmath.exp(1j * psi_dp), complex(rho2)
+    p_dp, rho2_dp = cmath.exp(1j * psi_dp), complex(rho2)
+    rm, rb, tb = membrane.reflectivity, bs.reflectivity, bs.transmissivity
+    alpha = rm * tb**2 * p_dp / rho2_dp  # w = alpha*e - beta*conj(e)
+    beta = rm * rb**2 * p_dp.conjugate() / rho2_dp
+    return p_dp, rho2_dp, 2.0 * rm * rb * tb * p_dp, alpha - beta, 1j * (alpha + beta)
 
 
 def roundtrip_phase(config: InterferometerConfig) -> float:
@@ -178,33 +183,43 @@ def recycling_phase(config: InterferometerConfig, omega):
     return 2.0 * (config.srm_detuning + np.asarray(omega, dtype=float)) * lc / C_LIGHT
 
 
+def _excess(config: InterferometerConfig, eps):
+    """Carrier excess over the dark port at membrane phase eps: ``(tau, w)``.
+
+    rho2 and tau are linear in exp(+-i*psi), so both are linear in the excess
+    z = exp(i*psi) - exp(i*psi_dp) = exp(i*psi_dp)*e, e = expm1(i*eps), and in
+    conj(z): the cross-coupling tau = 2*rm*rb*tb*Re(z), which vanishes on the
+    dark port, and w = rho2/rho2_dp - 1 = rm*(tb^2*z - rb^2*conj(z))/rho2_dp.
+    Both are written as combinations of Re(e) and Im(e) with coefficients fixed
+    by the dark port, so every complex product has a real factor and a scalar
+    and an array eps round alike.
+    """
+    _, _, k, c, d = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
+    e = expm1i(eps)
+    return k.real * e.real - k.imag * e.imag, c * e.real + d * e.imag
+
+
 def resonance_denominator(config: InterferometerConfig, omega, exact_imbalance_sideband: bool = True):
     """1 - R_sr * rho2(k) * exp(2ik*cavity_length) for sideband frequency omega.
 
     Broadcasts over omega and an array ``srm_detuning``.  Near resonance the
     denominator is a small difference of O(1) numbers, so it is assembled
     from small quantities only: with rho2 = rho2_dp*(1 + w) (|rho2_dp| = 1
-    for a lossless interferometer) and the carrier round trip pinned to
+    for a lossless interferometer, w from :func:`_excess` at the membrane
+    phase of :func:`membrane_phase`) and the carrier round trip pinned to
     arg(rho2_dp),
 
         denom = (1 - R_sr) - R_sr*(w*exp(i*phi) + expm1(i*phi)),
 
     where 1 - R_sr = T_sr^2/(1 + R_sr) and phi comes from
-    :func:`recycling_phase`.  rho2 is linear in exp(+-i*psi), so
-    w = rm*(tb^2*z - rb^2*conj(z))/rho2_dp with the excess
-    z = exp(i*psi) - exp(i*psi_dp) = exp(i*psi_dp)*expm1(i*eps) of the
-    membrane phase eps (:func:`membrane_phase`).  The tiny sideband
-    correction to the imbalance phase is kept by default; dropping it (fast
-    path) changes results at the 1e-9 level for desk-scale geometries.
+    :func:`recycling_phase`.  The tiny sideband correction to the imbalance
+    phase is kept by default; dropping it (fast path) changes results at the
+    1e-9 level for desk-scale geometries.
     """
     om = np.asarray(omega, dtype=float)
-    rb, tb = config.bs.reflectivity, config.bs.transmissivity
-    r_sr = config.srm.reflectivity
-    p_dp, rho2_dp = dark_port_carrier(config)
-    z = p_dp * expm1i(membrane_phase(config, om, exact_imbalance_sideband))
-    w = config.membrane.reflectivity / rho2_dp * (tb**2 * z - rb**2 * np.conj(z))
+    _, w = _excess(config, membrane_phase(config, om, exact_imbalance_sideband))
     e_phi = expm1i(recycling_phase(config, om))
-    denom = config.srm.reflection_deficit - r_sr * (w * (1.0 + e_phi) + e_phi)
+    denom = config.srm.reflection_deficit - config.srm.reflectivity * (w * (1.0 + e_phi) + e_phi)
     if (np.abs(denom) < to.DEGENERACY_FLOOR).any():
         raise to.DegenerateResonanceError("resonance denominator vanishes on the grid")
     return denom
@@ -215,8 +230,9 @@ class EffectiveCavity:
     """Detuning and half-linewidth decomposition of the effective cavity.
 
     ``half_linewidth`` is the narrow-band sum of the recycling-mirror and
-    membrane contributions; ``half_linewidth_exact`` keeps the full
-    logarithm-free expression c*(1 - R_sr*|rho2|)/(2*Lc).
+    membrane contributions; ``half_linewidth_exact`` is c*(1 - R_sr*|rho2|)/(2*Lc),
+    formed as c*(T_sr^2/(1 + R_sr) + R_sr*tau^2/(1 + |rho2|))/(2*Lc) with |rho2| =
+    sqrt(1 - tau^2).  Fields are arrays where the offset or ``srm_detuning`` is one.
     """
 
     detuning: float
@@ -249,37 +265,34 @@ class EffectiveCavity:
 
 
 def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
-    """Reduce the operating point to effective-cavity detunings and linewidths."""
-    geom = config.geometry
-    lc = geom.cavity_length
-    t_sr = config.srm.transmissivity
+    """Reduce the operating point to effective-cavity detunings and linewidths;
+    broadcasts over an array ``offset`` and ``srm_detuning``.
 
-    psi = imbalance_phase(config)
-    _, rho2, tau = to.effective_mirror(config.membrane, config.bs, psi)
-    _, rho2_dp = dark_port_carrier(config)
-
-    tau_sq = abs(complex(tau)) ** 2
-    if t_sr**2 > NARROWBAND_WARN or tau_sq > NARROWBAND_WARN:
+    gamma_m comes from tau^2 and the membrane detuning from
+    arg(rho2/rho2_dp) = arg(1 + w), both from :func:`_excess`.
+    """
+    lc = config.geometry.cavity_length
+    srm = config.srm
+    tau, w = _excess(config, config.geometry.wavenumber * config.offset)
+    tau_sq = tau * tau
+    if srm.transmissivity**2 > NARROWBAND_WARN or np.count_nonzero(tau_sq > NARROWBAND_WARN):
         # attributed to this line, so the default filter shows it once per process
         warnings.warn(
             "narrow-band decomposition is unreliable: recycling-mirror or "
             "interferometer power transmittance exceeds 0.1"
         )
 
-    gamma_sr = C_LIGHT * t_sr**2 / (4.0 * lc)
+    gamma_sr = C_LIGHT * srm.transmissivity**2 / (4.0 * lc)
     gamma_m = C_LIGHT * tau_sq / (4.0 * lc)
-    gamma_exact = C_LIGHT * (1.0 - config.srm.reflectivity * abs(complex(rho2))) / (2.0 * lc)
-
-    # arg of the ratio keeps the offset continuous through zero offset
-    phase_offset = cmath.phase(complex(rho2) * rho2_dp.conjugate())
-    membrane_detuning = C_LIGHT * phase_offset / (2.0 * lc)
+    deficit = srm.reflection_deficit + srm.reflectivity * tau_sq / (1.0 + np.sqrt(1.0 - tau_sq))
+    membrane_detuning = C_LIGHT * np.arctan2(w.imag, 1.0 + w.real) / (2.0 * lc)
 
     return EffectiveCavity(
         detuning=config.srm_detuning + membrane_detuning,
         srm_detuning=config.srm_detuning,
         membrane_detuning=membrane_detuning,
         half_linewidth=gamma_sr + gamma_m,
-        half_linewidth_exact=gamma_exact,
+        half_linewidth_exact=C_LIGHT * deficit / (2.0 * lc),
         srm_half_linewidth=gamma_sr,
         membrane_half_linewidth=gamma_m,
     )

@@ -130,19 +130,11 @@ def characteristic_polynomial(
     oscillator equation through by the kernel denominator; broadcasts over
     ``detuning``.
     """
-    delta = cavity.detuning if detuning is None else np.asarray(detuning, dtype=float)
-    gamma = cavity.half_linewidth
-    gamma_sr = cavity.srm_half_linewidth
-    gamma_m = cavity.membrane_half_linewidth
-    delta_m = cavity.membrane_detuning
-    delta_sr = delta - delta_m
-
-    lorentz = gamma**2 + delta**2
+    gamma, delta_m, delta_sr, lorentz, reduced, cross = ba._narrowband_terms(cavity, detuning)
     gain = ba._gain(membrane, input_power, carrier_omega, cavity_length)
     mass_term = oscillator.mass * lorentz
     w_sq = oscillator.resonance_frequency**2
     g_mech = oscillator.damping_rate
-    reduced = lorentz - 4.0 * (gamma * gamma_m + delta * delta_m)
 
     return np.stack(
         [
@@ -150,7 +142,7 @@ def characteristic_polynomial(
             2.0 * mass_term * (gamma + g_mech),
             mass_term * (lorentz + 4.0 * gamma * g_mech + w_sq) - gain * delta_m,
             2.0 * mass_term * (g_mech * lorentz + gamma * w_sq)
-            - 2.0 * gain * (gamma_sr * delta_m + gamma_m * delta_sr),
+            - 2.0 * gain * cross,
             mass_term * w_sq * lorentz + gain * delta_sr * reduced,
         ],
         axis=-1,
@@ -333,12 +325,8 @@ def regime_map(
     if deltas.size == 0 or offsets.size == 0:
         raise ValueError("regime map grids must be nonempty")
 
-    rows = [
-        _spring_damping_sweep(row, cav.effective_cavity(row), deltas, omega_eval)
-        for row in (replace(config, offset=float(x)) for x in offsets)
-    ]
-    spring = np.vstack([r[0] for r in rows])
-    damping = np.vstack([r[1] for r in rows])
+    grid = replace(config, offset=offsets.reshape(-1, 1))
+    spring, damping = _spring_damping_sweep(grid, cav.effective_cavity(grid), deltas, omega_eval)
     labels = classify_regimes(
         spring,
         damping,

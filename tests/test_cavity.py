@@ -1,12 +1,21 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ospring import cavity as cav
 from ospring import transfer_optics as to
-from ospring.params import C_LIGHT, BeamsplitterParams, InterferometerConfig, MirrorParams
+from ospring.params import (
+    C_LIGHT,
+    BeamsplitterParams,
+    Geometry,
+    InterferometerConfig,
+    MirrorParams,
+)
 
 from conftest import WAVELENGTH
 
@@ -87,6 +96,44 @@ def test_effective_cavity_identities(narrow_config):
     assert cavity.detuning == cavity.srm_detuning + cavity.membrane_detuning
     assert cavity.half_linewidth == cavity.srm_half_linewidth + cavity.membrane_half_linewidth
     assert cavity.srm_half_linewidth >= 0.0 and cavity.membrane_half_linewidth >= 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    membrane_r2=hst.floats(0.05, 1.0),
+    asymmetry=hst.floats(-0.6, 0.6),
+    t_sr_sq=hst.floats(1e-5, 1e-2),
+    index=hst.sampled_from([1, 3, 5, 7]),
+    offsets=hst.lists(hst.floats(-0.12, 0.12), min_size=1, max_size=8),
+    srm_detuning=hst.floats(-1e7, 1e7),
+)
+def test_effective_cavity_broadcasts_over_offset(
+    membrane_r2, asymmetry, t_sr_sq, index, offsets, srm_detuning
+):
+    membrane = MirrorParams.from_power_reflectivity(membrane_r2)
+    bs = BeamsplitterParams(asymmetry)
+    try:
+        cav.dark_port_phase(membrane, bs, index)
+    except cav.NoDarkPortError:
+        assume(False)
+    config = InterferometerConfig(
+        geometry=Geometry(0.05, 0.027, 0.01, WAVELENGTH),
+        membrane=membrane,
+        srm=MirrorParams.from_power_transmissivity(t_sr_sq),
+        bs=bs,
+        input_power=0.2,
+        dark_port_index=index,
+        srm_detuning=srm_detuning,
+    )
+    xs = np.array(offsets) * WAVELENGTH
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # narrow-band validity is not at issue here
+        grid = cav.effective_cavity(replace(config, offset=xs))
+        rows = [cav.effective_cavity(replace(config, offset=float(x))) for x in xs]
+    for field in fields(cav.EffectiveCavity):
+        got = np.broadcast_to(getattr(grid, field.name), xs.shape)
+        want = np.array([getattr(row, field.name) for row in rows], dtype=float)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), field.name
 
 
 def test_exact_vs_narrowband_linewidth_bound(narrow_config):

@@ -528,17 +528,38 @@ def test_each_run_reduces_its_operating_point_once(monkeypatch, tmp_path, name, 
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_map_reduces_once_per_offset_row(monkeypatch, tmp_path, fmt):
+def test_map_reduces_once_for_all_offset_rows(monkeypatch, tmp_path, fmt):
     text = Path(preset_path("fig3d")).read_text().replace("points = 241", "points = 21")
     text += "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0.0003\nstop = 0.003\npoints = 5\n"
     cfg = write_cfg(tmp_path, text)
     counts, _ = _count_reductions(monkeypatch)
     assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(tmp_path / "map")) == 0
     assert counts["interferometer"] == 1
-    assert counts["cavity"] <= 2 + 5
+    assert counts["cavity"] <= 3
 
 
 NARROWBAND_WARNING = "narrow-band decomposition is unreliable"
+OFFSET_WARNING = "membrane offset exceeds an eighth wavelength"
+
+
+def test_offset_warning_names_its_source_once(tmp_path):
+    # a subprocess sees the warning as a user does; pytest's capture records every call
+    text = Path(preset_path("fig2c")).read_text()
+    start = text.index("offset_xi_lambda0")
+    line = text[start:text.index("\n", start)]
+    cfg = write_cfg(tmp_path, text.replace(line, "offset_xi_lambda0 = 0.2"))
+    src = str(Path(ospring.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    argv = ["backaction", "--method", "narrowband", "--config", cfg, "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ospring.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines() if OFFSET_WARNING in line]
+    assert len(warned) == 1, proc.stderr
+    assert "params.py:" in warned[0] and "<string>" not in warned[0], proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""50-digit mpmath reference for the back-action spectrum, the exact kernel
-and the narrow-band laws.
+"""50-digit mpmath reference for the effective-cavity reduction, the
+back-action spectrum, the exact kernel and the narrow-band laws.
 
 The reference re-derives every quantity from the preset's own numbers and
 never calls the spectrum or kernel code it checks.  Mirror and beamsplitter
@@ -174,6 +174,70 @@ def _kernel(op, srm_detuning, omega):
 
     scale = 2j * op.k0 / C_EXACT * rm * op.power
     return scale * (quadratic_form(omega) - mp.conj(quadratic_form(-omega)))
+
+
+CAVITY_BOUND = 1e-14
+
+
+def _cavity(op, srm_detuning):
+    """The seven ``EffectiveCavity`` fields of the operating point, by their
+    defining formulas: rates from |tau|^2, the exact half-linewidth from
+    1 - R_sr*|rho2| and the membrane detuning from arg(rho2*conj(rho2_dp)).
+    exp(-i*psi) is taken as conj(exp(i*psi)), so a membrane detuning that
+    vanishes by symmetry is exactly 0."""
+    rm, tm, rb, tb = op.rm, op.tm, op.rb, op.tb
+
+    def rho2(psi):
+        p = mp.expj(psi)
+        return rm * (tb**2 * p - rb**2 * mp.conj(p)) - 2 * tm * rb * tb
+
+    p = mp.expj(op.psi)
+    tau = (rm * rb * tb * (p + mp.conj(p)) + tm * (tb**2 - rb**2)).real
+    rate = C_EXACT / (4 * op.lc)
+    gamma_sr, gamma_m = rate * op.t_sr**2, rate * tau**2
+    delta_m = 2 * rate * mp.arg(rho2(op.psi) * mp.conj(rho2(op.psi_dp)))
+    srm_detuning = mp.mpf(srm_detuning)
+    return {
+        "detuning": srm_detuning + delta_m,
+        "srm_detuning": srm_detuning,
+        "membrane_detuning": delta_m,
+        "half_linewidth": gamma_sr + gamma_m,
+        "half_linewidth_exact": 2 * rate * (1 - op.r_sr * abs(rho2(op.psi))),
+        "srm_half_linewidth": gamma_sr,
+        "membrane_half_linewidth": gamma_m,
+    }
+
+
+def cavity_errors(name):
+    """Relative error of each ``EffectiveCavity`` field of a preset's
+    resolved operating point.
+
+    The total detuning is the sum of the resolved ``srm_detuning`` and the
+    membrane detuning, and the presets resolve ``srm_detuning`` so that the
+    sum is a chosen value, often 0: it is measured relative to
+    |srm_detuning| + |membrane_detuning|, the scale of its terms.  A field
+    whose true value is 0 is measured relative to the half-linewidth.
+    """
+    run = load_config(preset_path(name))
+    config = run.interferometer()
+    cavity = cav.effective_cavity(config)
+    with mp.workdps(DIGITS):
+        reference = _cavity(_Operating(run, config), config.srm_detuning)
+        scales = {field: abs(value) for field, value in reference.items()}
+        scales["detuning"] = scales["srm_detuning"] + scales["membrane_detuning"]
+        return {
+            field: float(
+                abs(mp.mpf(getattr(cavity, field)) - value)
+                / (scales[field] or reference["half_linewidth"])
+            )
+            for field, value in reference.items()
+        }
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_effective_cavity_matches_reference(name):
+    errors = cavity_errors(name)
+    assert max(errors.values()) <= CAVITY_BOUND, errors
 
 
 class _Rates:

@@ -409,6 +409,19 @@ def test_regime_map_deterministic_across_workers(narrow_config):
         st.regime_map(narrow_config, np.array([]), offsets, 0.5 * gamma)
 
 
+def test_quasi_static_regime_map_rows_match_single_offset_sweeps(narrow_config):
+    gamma = cav.effective_cavity(narrow_config).half_linewidth
+    deltas = np.linspace(-2 * gamma, 2 * gamma, 41)
+    offsets = np.linspace(-0.02, 0.02, 7) * WAVELENGTH
+    grid = st.regime_map(narrow_config, deltas, offsets)
+    assert grid.spring.shape == grid.damping.shape == (offsets.size, deltas.size)
+    for i, x in enumerate(offsets):
+        row = replace(narrow_config, offset=float(x))
+        spring, damping = st._spring_damping_sweep(row, cav.effective_cavity(row), deltas, None)
+        assert np.array_equal(grid.spring[i], spring)
+        assert np.array_equal(grid.damping[i], damping)
+
+
 def test_classify_regimes_neutral_floor():
     spring = np.array([1.0, -1.0, 1e-15, 1.0])
     damping = np.array([1.0, 1.0, 1.0, -1e-15])
