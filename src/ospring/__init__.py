@@ -35,7 +35,6 @@ from .backaction import (
     free_mass_spring_damping,
     kernel_exact,
     kernel_narrowband,
-    kernel_narrowband_config,
     spring_damping,
     spring_damping_dc,
 )

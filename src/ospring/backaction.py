@@ -32,34 +32,36 @@ def spring_damping(kernel, omega):
     return k.real, -k.imag / (2.0 * om)
 
 
-def _roundtrip(config: InterferometerConfig, omega):
-    """Carrier round-trip factor exp(i*phi)*conj(rho2_dp/|rho2_dp|), phi from
-    :func:`ospring.cavity.recycling_phase`: no small phase is added to the
-    O(1) arg(rho2_dp)."""
-    _, rho2_dp = cav.dark_port_carrier(config)
-    return np.exp(1j * cav.recycling_phase(config, omega)) * np.conj(rho2_dp / abs(rho2_dp))
-
-
-def _carrier(config: InterferometerConfig):
+def _carrier(config: InterferometerConfig, ph: cav._Phases):
     """Detector-port carrier amplitude y of the loop (laser input 1) and
     Im(b^T sigma3 a) for the mean membrane-face fields a = P*m_bs*(1, y) and
     b = conj(m_m*a), P = diag(exp(-i*psi/2), exp(i*psi/2)) the fold propagator:
 
         b^T sigma3 a = -rm*(1 + |y|^2) + 2i*tm*Im(exp(-i*psi)*(rb + tb*conj(y))*(tb - rb*y)).
 
-    tau vanishes on the dark port and is formed from its excess.
+    tau vanishes on the dark port and is formed from its excess.  The carrier
+    round trip is (1 + e_rt)*conj(u), u = rho2_dp/|rho2_dp| the carrier phase
+    it is pinned to, so no small phase is added to the O(1) arg(rho2_dp).
     """
     tm = config.membrane.transmissivity
     rb, tb = config.bs.reflectivity, config.bs.transmissivity
-    tau, _ = cav._excess(config, config.geometry.wavenumber * config.offset)
-    d0 = cav.resonance_denominator(config, 0.0)
-    y = config.srm.reflectivity * _roundtrip(config, 0.0) * tau / d0
-    fields = np.exp(-1j * cav.imbalance_phase(config)) * (rb + tb * np.conj(y)) * (tb - rb * y)
+    dark, rho = ph.dark, 1.0 + ph.e_rt
+    tau, w = cav._excess(dark, ph.e0)
+    d0 = cav._denominator(config, w, ph.e_rt, rho)
+    y = config.srm.reflectivity * (rho * dark.u.conjugate()) * tau / d0
+    phase = (dark.p * (1.0 + ph.e0)).conjugate()  # exp(-i*psi)
+    fields = phase * (rb + tb * y.conjugate()) * (tb - rb * y)
     return y, 2.0 * tm * fields.imag
 
 
-def _feedback_term(config: InterferometerConfig, omega, y):
-    """Displacement-feedback term b^T X a of the kernel's quadratic form.
+def _conj(x):
+    """conj(x); in place for an array."""
+    return np.conjugate(x, out=x) if isinstance(x, np.ndarray) else x.conjugate()
+
+
+def _feedback_term(config: InterferometerConfig, ph: cav._Phases, y, omega, e_h):
+    """Displacement-feedback term b^T X a of the kernel's quadratic form at
+    sideband frequency omega, with e_h = expm1(i*h), h = omega*delta_l/(2c).
 
     The feedback matrix is rank one, X = common * g g^T with
     g = (rb*exp(-i*chi/2), -tb*exp(i*chi/2)) and chi = psi + 2h the sideband
@@ -76,52 +78,94 @@ def _feedback_term(config: InterferometerConfig, omega, y):
     dark-port value plus a term linear in z = exp(i*theta) - exp(i*psi_dp)
     and conj(z), so both projections are affine in z, conj(z) and
     expm1(+-i*h) with scalar coefficients and no O(1) terms cancel.
+
+    common = rm*R_sr*exp(i*phi)*conj(u)/denom, exp(i*phi) = 1 + e_phi.  The
+    recycling phase phi = 2*(srm_detuning + omega)*Lc/c and the membrane
+    phases theta and eps = psi + 2h are taken whole: srm_detuning + omega is
+    exact where the two nearly cancel, at the sideband resonance, which a
+    composition of the operating-point and sideband factors would round.
     """
-    om = np.asarray(omega, dtype=float)
     rm, tm = config.membrane.reflectivity, config.membrane.transmissivity
     rb, tb = config.bs.reflectivity, config.bs.transmissivity
+    r_sr = config.srm.reflectivity
     c = rb * tb
     asym = tb**2 - rb**2
-    p_dp, rho2_dp = cav.dark_port_carrier(config)
+    dark = ph.dark
+    k0x = config.geometry.wavenumber * config.offset
 
     # dark-port values: alpha1 = -asym/rm, alpha2 = asym/rm * rho2/|rho2|,
     # beta1 = (tm*rho2 + 2*rb*tb)/rm, beta2 = 2i*rb*tb*sin(psi_dp)
-    g_a0 = -(2j * c * p_dp.imag + y * asym / rm * rho2_dp / abs(rho2_dp))
-    g_b0 = -y * asym / rm - (tm * rho2_dp.conjugate() + 2.0 * c) / rm
+    g_a0 = -(2j * c * dark.p.imag + y * asym / rm * dark.u)
+    g_b0 = -y * asym / rm - (tm * dark.rho2.conjugate() + 2.0 * c) / rm
 
-    common = (
-        rm * config.srm.reflectivity * _roundtrip(config, om)
-        / cav.resonance_denominator(config, om)
-    )
-    h = 0.5 * om / C_LIGHT * cav.imbalance_length(config)
-    z = p_dp * cav.expm1i(config.geometry.wavenumber * config.offset + h)
-    z_bar = np.conj(z)
-    e_h = cav.expm1i(h)
-    g_a = g_a0 - (c + y * tb**2) * z + (c - y * rb**2) * z_bar
-    g_b = np.conj(
-        g_b0
-        + tm * ((rb**2 + y * c) * z + (y * c - tb**2) * z_bar)
-        + rm * ((y * rb**2 - c) * e_h - (c + y * tb**2) * np.conj(e_h))
-    )
-    return common * g_a * g_b
+    _, w = cav._excess(dark, cav.expm1i(k0x + omega / C_LIGHT * ph.delta_l))
+    phi = config.srm_detuning + omega
+    phi *= 2.0
+    phi *= config.geometry.cavity_length
+    phi /= C_LIGHT
+    e_phi = cav.expm1i(phi)
+    del phi  # dropped once consumed: a whole-length (map) call holds fewer at its peak
+    rho = 1.0 + e_phi
+    denom = cav._denominator(config, w, e_phi, rho)
+    del w, e_phi
+    rho *= dark.u.conjugate()
+    rho *= rm * r_sr
+    common = rho / denom
+    del rho, denom
+
+    z = cav.expm1i(k0x + 0.5 * omega / C_LIGHT * ph.delta_l)
+    z *= dark.p
+    z_bar = z.conjugate()
+    a_z = c + y * tb**2
+    g = z * a_z
+    g *= -1.0
+    g += g_a0
+    g += z_bar * (c - y * rb**2)
+    common *= g  # common * g^T a
+    g = z * (rb**2 + y * c)
+    g += z_bar * (y * c - tb**2)
+    g *= tm
+    g += g_b0
+    del z, z_bar
+    h_terms = e_h * (y * rb**2 - c)
+    h_terms -= e_h.conjugate() * a_z
+    h_terms *= rm
+    g += h_terms
+    common *= _conj(g)
+    return common
 
 
 def kernel_exact(config: InterferometerConfig, omega):
     """Exact kernel (N/m) at sideband frequency omega, in closed form.
 
-    Broadcasts over omega and over an array ``config.srm_detuning`` (see
-    :func:`ospring.cavity.with_total_detuning`).  Defined at omega = 0 by
-    continuity (the value is real there); use :func:`spring_damping` only at
-    nonzero omega.  Of the mean-field term b^T sigma3 a only its imaginary
-    part (:func:`_carrier`) survives the difference of the quadratic forms at
-    +omega and, conjugated, at -omega; :func:`_feedback_term` gives the rest.
+    Broadcasts over omega and over array ``config.offset`` and
+    ``config.srm_detuning`` (see :func:`ospring.cavity.with_total_detuning`).
+    Defined at omega = 0 by continuity (the value is real there); use
+    :func:`spring_damping` only at nonzero omega.  Of the mean-field term
+    b^T sigma3 a only its imaginary part (:func:`_carrier`) survives the
+    difference of the quadratic forms at +omega and, conjugated, at -omega;
+    :func:`_feedback_term` gives the rest.  The operating point is resolved
+    once (:func:`ospring.cavity._phases`), and expm1(-i*h) = conj(expm1(i*h)).
     """
-    om = np.asarray(omega, dtype=float)
-    y, interference = _carrier(config)
-    feedback = _feedback_term(config, om, y) - np.conj(_feedback_term(config, -om, y))
+    if isinstance(omega, float) or np.ndim(omega) == 0:
+        om = float(omega)
+    else:
+        om = np.asarray(omega, dtype=float)
+    ph = cav._phases(config)
+    y, interference = _carrier(config, ph)
     rm = config.membrane.reflectivity
     scale = 2j * config.geometry.wavenumber / C_LIGHT * rm * config.input_power
-    return scale * (2j * interference - 2.0 * feedback)
+
+    def kernel(om):
+        e_h = cav.expm1i(0.5 * om / C_LIGHT * ph.delta_l)
+        out = _feedback_term(config, ph, y, om, e_h)
+        out -= _conj(_feedback_term(config, ph, y, -om, _conj(e_h)))
+        out *= -2.0
+        out += 2j * interference
+        out *= scale
+        return (out,)
+
+    return cav._blockwise(kernel, config, om)[0]
 
 
 def _gain(membrane: MirrorParams, input_power: float, carrier_omega: float, cavity_length: float):
@@ -171,11 +215,6 @@ def kernel_narrowband(
     prefactor = _gain(membrane, input_power, carrier_omega, cavity_length)
     braces = (delta_sr * reduced + 2j * cross * om + delta_m * (om * om)) / lorentz
     return prefactor * braces / ((lorentz - om * om) - 2j * (gamma * om))
-
-
-def kernel_narrowband_config(config: InterferometerConfig, omega, detuning=None):
-    """Narrow-band kernel with rates reduced from a full configuration."""
-    return kernel_narrowband(cav.effective_cavity(config), *_gain_inputs(config), omega, detuning)
 
 
 def spring_damping_dc(

@@ -16,6 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,16 +87,31 @@ def dark_port_carrier(config: InterferometerConfig):
     return _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)[:2]
 
 
+class _DarkPort(NamedTuple):
+    """Dark-port constants of the carrier; ``tau_coef``, ``w_re`` and ``w_im`` are the
+    coefficients of :func:`_excess`."""
+
+    p: complex  # exp(i*psi_dp)
+    rho2: complex
+    u: complex  # rho2_dp/|rho2_dp|, the carrier phase the round trip is pinned to
+    psi: float
+    tau_coef: complex
+    w_re: complex
+    w_im: complex
+
+
 @lru_cache(maxsize=128)
-def _dark_port_carrier(membrane: MirrorParams, bs: BeamsplitterParams, index: int):
-    """``(p_dp, rho2_dp)`` followed by the coefficients of :func:`_excess`."""
+def _dark_port_carrier(membrane: MirrorParams, bs: BeamsplitterParams, index: int) -> _DarkPort:
     psi_dp = dark_port_phase(membrane, bs, index)
     _, rho2, _ = to.effective_mirror(membrane, bs, psi_dp)
     p_dp, rho2_dp = cmath.exp(1j * psi_dp), complex(rho2)
     rm, rb, tb = membrane.reflectivity, bs.reflectivity, bs.transmissivity
     alpha = rm * tb**2 * p_dp / rho2_dp  # w = alpha*e - beta*conj(e)
     beta = rm * rb**2 * p_dp.conjugate() / rho2_dp
-    return p_dp, rho2_dp, 2.0 * rm * rb * tb * p_dp, alpha - beta, 1j * (alpha + beta)
+    return _DarkPort(
+        p_dp, rho2_dp, rho2_dp / abs(rho2_dp), psi_dp,
+        2.0 * rm * rb * tb * p_dp, alpha - beta, 1j * (alpha + beta),
+    )
 
 
 def roundtrip_phase(config: InterferometerConfig) -> float:
@@ -156,73 +172,136 @@ def membrane_field_matrices(config: InterferometerConfig, omega: float, arm_gaug
 
 def expm1i(theta):
     """exp(i*theta) - 1 without the cancellation of the direct difference."""
-    if np.ndim(theta) == 0:  # scalar sweeps call this per point
+    if isinstance(theta, float) or np.ndim(theta) == 0:  # scalar sweeps call this per point
         half = math.sin(0.5 * theta)
         return complex(-2.0 * half * half, math.sin(theta))
     theta = np.asarray(theta, dtype=float)
-    half = np.sin(0.5 * theta)
-    return -2.0 * half * half + 1j * np.sin(theta)
+    half = 0.5 * theta
+    np.sin(half, out=half)
+    half *= half
+    out = np.empty(theta.shape, dtype=complex)
+    np.multiply(half, -2.0, out=out.real)
+    out.imag = np.sin(theta)
+    return out
 
 
-def membrane_phase(config: InterferometerConfig, omega, exact_imbalance_sideband: bool = True):
-    """Imbalance phase eps = k0*offset + (omega/c)*delta_l away from the dark port.
+def _compose(e_a, e_b):
+    """expm1(i*(a + b)) from e_a = expm1(i*a) and e_b = expm1(i*b), without a
+    transcendental call: as accurate as expm1i of the rounded sum a + b, up to
+    a few ulp of e_a and e_b."""
+    return e_a + e_b * (1.0 + e_a)
 
-    Formed from the stored offset, never as the difference of two O(1)
-    phases.  ``exact_imbalance_sideband=False`` drops the sideband term.
+
+class _Phases(NamedTuple):
+    """Operating-point factors of the exact model, resolved once per call.
+
+    Every phase is an operating-point term plus a term odd in the sideband
+    frequency omega: the membrane phase eps = k0*offset + omega*delta_l/c and
+    the recycling phase phi = 2*srm_detuning*Lc/c + 2*omega*Lc/c, both taken
+    from the dark-port resonance.  ``e0`` and ``e_rt`` are the expm1(i*...)
+    of the operating-point terms, the carrier's own (omega = 0); the
+    spectrum adds the sideband terms with :func:`_compose`.
     """
-    eps = config.geometry.wavenumber * config.offset
-    if exact_imbalance_sideband:
-        eps = eps + np.asarray(omega, dtype=float) / C_LIGHT * imbalance_length(config)
-    return eps
+
+    dark: _DarkPort
+    delta_l: float  # metric arm imbalance, as imbalance_length
+    e0: complex  # expm1(i*k0*offset)
+    e_rt: complex  # expm1(2i*srm_detuning*Lc/c)
 
 
-def recycling_phase(config: InterferometerConfig, omega):
-    """Round-trip phase phi = 2*(srm_detuning + omega)*cavity_length/c away
-    from the dark-port resonance, for sideband frequency omega."""
-    lc = config.geometry.cavity_length
-    return 2.0 * (config.srm_detuning + np.asarray(omega, dtype=float)) * lc / C_LIGHT
+def _phases(config: InterferometerConfig) -> _Phases:
+    dark = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
+    geom = config.geometry
+    return _Phases(
+        dark,
+        dark.psi * geom.wavelength / (2.0 * math.pi) + config.offset,
+        expm1i(geom.wavenumber * config.offset),
+        expm1i(2.0 * config.srm_detuning * geom.cavity_length / C_LIGHT),
+    )
 
 
-def _excess(config: InterferometerConfig, eps):
-    """Carrier excess over the dark port at membrane phase eps: ``(tau, w)``.
+def _excess(dark: _DarkPort, e):
+    """Carrier excess over the dark port at membrane phase eps: ``(tau, w)``
+    from e = expm1(i*eps).
 
     rho2 and tau are linear in exp(+-i*psi), so both are linear in the excess
-    z = exp(i*psi) - exp(i*psi_dp) = exp(i*psi_dp)*e, e = expm1(i*eps), and in
-    conj(z): the cross-coupling tau = 2*rm*rb*tb*Re(z), which vanishes on the
-    dark port, and w = rho2/rho2_dp - 1 = rm*(tb^2*z - rb^2*conj(z))/rho2_dp.
-    Both are written as combinations of Re(e) and Im(e) with coefficients fixed
-    by the dark port, so every complex product has a real factor and a scalar
-    and an array eps round alike.
+    z = exp(i*psi) - exp(i*psi_dp) = exp(i*psi_dp)*e and in conj(z): the
+    cross-coupling tau = 2*rm*rb*tb*Re(z), which vanishes on the dark port, and
+    w = rho2/rho2_dp - 1 = rm*(tb^2*z - rb^2*conj(z))/rho2_dp.  Both are written
+    as combinations of Re(e) and Im(e) with coefficients fixed by the dark
+    port, so every complex product has a real factor and a scalar and an
+    array eps round alike.
     """
-    _, _, k, c, d = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
-    e = expm1i(eps)
-    return k.real * e.real - k.imag * e.imag, c * e.real + d * e.imag
+    k = dark.tau_coef
+    w = dark.w_re * e.real
+    w += dark.w_im * e.imag
+    return k.real * e.real - k.imag * e.imag, w
 
 
-def resonance_denominator(config: InterferometerConfig, omega, exact_imbalance_sideband: bool = True):
+def _denominator(config: InterferometerConfig, w, e_phi, rho):
+    """The recycling denominator of :func:`resonance_denominator` from w,
+    e_phi = expm1(i*phi) and rho = 1 + e_phi."""
+    srm = config.srm
+    denom = w * rho
+    denom += e_phi
+    denom *= -srm.reflectivity
+    denom += srm.reflection_deficit
+    if isinstance(denom, complex):
+        degenerate = abs(denom) < to.DEGENERACY_FLOOR
+    else:
+        degenerate = (np.abs(denom) < to.DEGENERACY_FLOOR).any()
+    if degenerate:
+        raise to.DegenerateResonanceError("resonance denominator vanishes on the grid")
+    return denom
+
+
+def resonance_denominator(config: InterferometerConfig, omega):
     """1 - R_sr * rho2(k) * exp(2ik*cavity_length) for sideband frequency omega.
 
-    Broadcasts over omega and an array ``srm_detuning``.  Near resonance the
-    denominator is a small difference of O(1) numbers, so it is assembled
-    from small quantities only: with rho2 = rho2_dp*(1 + w) (|rho2_dp| = 1
-    for a lossless interferometer, w from :func:`_excess` at the membrane
-    phase of :func:`membrane_phase`) and the carrier round trip pinned to
-    arg(rho2_dp),
+    Broadcasts over omega and array ``offset`` and ``srm_detuning``.  Near
+    resonance the denominator is a small difference of O(1) numbers, so it is
+    assembled from small quantities only: with rho2 = rho2_dp*(1 + w)
+    (|rho2_dp| = 1 for a lossless interferometer, w from :func:`_excess` at
+    the membrane phase eps = k0*offset + omega*delta_l/c) and the carrier
+    round trip pinned to arg(rho2_dp),
 
         denom = (1 - R_sr) - R_sr*(w*exp(i*phi) + expm1(i*phi)),
 
-    where 1 - R_sr = T_sr^2/(1 + R_sr) and phi comes from
-    :func:`recycling_phase`.  The tiny sideband correction to the imbalance
-    phase is kept by default; dropping it (fast path) changes results at the
-    1e-9 level for desk-scale geometries.
+    where 1 - R_sr = T_sr^2/(1 + R_sr) and phi = 2*(srm_detuning + omega)*Lc/c.
     """
+    ph = _phases(config)
     om = np.asarray(omega, dtype=float)
-    _, w = _excess(config, membrane_phase(config, om, exact_imbalance_sideband))
-    e_phi = expm1i(recycling_phase(config, om))
-    denom = config.srm.reflection_deficit - config.srm.reflectivity * (w * (1.0 + e_phi) + e_phi)
-    if (np.abs(denom) < to.DEGENERACY_FLOOR).any():
-        raise to.DegenerateResonanceError("resonance denominator vanishes on the grid")
-    return denom
+    geom = config.geometry
+    _, w = _excess(ph.dark, expm1i(geom.wavenumber * config.offset + om / C_LIGHT * ph.delta_l))
+    e_phi = expm1i(2.0 * (config.srm_detuning + om) * geom.cavity_length / C_LIGHT)
+    return _denominator(config, w, e_phi, 1.0 + e_phi)
+
+
+_BLOCK = 8192
+
+
+def _blockwise(fn, config: InterferometerConfig, omega):
+    """The tuple of arrays ``fn(omega)``, evaluated on blocks of a long 1-D
+    omega at a scalar operating point.
+
+    fn is elementwise in omega, so the values are those of one call.  A
+    block's temporaries are reused from the allocator's free lists, while
+    whole-length ones are handed fresh pages: a 5.4e4-point kernel call
+    faulted in about 3,600 pages when it ran whole, 435 in blocks, and the
+    faults took longer than its arithmetic.
+    """
+    if isinstance(omega, float) or omega.ndim != 1 or omega.size <= _BLOCK:
+        return fn(omega)
+    if np.ndim(config.offset) or np.ndim(config.srm_detuning):
+        return fn(omega)
+    outs = None
+    for start in range(0, omega.size, _BLOCK):
+        parts = fn(omega[start:start + _BLOCK])
+        if outs is None:
+            outs = tuple(np.empty(omega.shape, dtype=part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[start:start + _BLOCK] = part
+    return outs
 
 
 @dataclass(frozen=True)
@@ -273,7 +352,8 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     """
     lc = config.geometry.cavity_length
     srm = config.srm
-    tau, w = _excess(config, config.geometry.wavenumber * config.offset)
+    dark = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
+    tau, w = _excess(dark, expm1i(config.geometry.wavenumber * config.offset))
     tau_sq = tau * tau
     if srm.transmissivity**2 > NARROWBAND_WARN or np.count_nonzero(tau_sq > NARROWBAND_WARN):
         # attributed to this line, so the default filter shows it once per process

@@ -365,7 +365,7 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
 
     def gauge_invariance():
         # closed-form mean-field term b^T sigma3 a against the matrix path at two gauges
-        y, interference = ba._carrier(config)
+        y, interference = ba._carrier(config, cav._phases(config))
         closed = -config.membrane.reflectivity * (1.0 + abs(y) ** 2) + 1j * interference
         worst = 0.0
         for gauge in (0.0, 0.731):
@@ -381,7 +381,12 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
         omega = np.linspace(0.1, 3.0, 31) * gamma
         exact = ba.kernel_exact(config, omega)
         approx = ba.kernel_narrowband(cavity, *ba._gain_inputs(config), omega)
-        return np.max(np.abs(exact - approx) / np.abs(exact)) < 0.05
+        # the gap against the peak |K| of a +-3 gamma detuning sweep at the same omega:
+        # at zero detuning with a fully reflective membrane the narrow-band kernel is 0
+        deltas = np.linspace(-3.0, 3.0, 121)[:, None] * gamma
+        swept = replace(config, srm_detuning=deltas - cavity.membrane_detuning)
+        peak = np.max(np.abs(ba.kernel_exact(swept, omega)), axis=0)
+        return np.max(np.abs(exact - approx) / peak) < 0.05
 
     check("unitarity_and_energy_closure", unitarity)
     check("dark_port_residual", dark_port)

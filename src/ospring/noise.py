@@ -37,15 +37,8 @@ class NoiseSpectrum:
         )
 
 
-def back_action_spectrum(
-    config: InterferometerConfig, omega, exact_imbalance_sideband: bool = True
-) -> NoiseSpectrum:
-    """Unsymmetrized back-action force noise density over a signed grid.
-
-    ``exact_imbalance_sideband`` keeps the (omega/c)*delta_l correction in
-    the imbalance phase; the fast path drops it and agrees to better than
-    1e-9 relative for desk-scale geometries.
-    """
+def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
+    """Unsymmetrized back-action force noise density over a signed grid."""
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     geom = config.geometry
     rm, tm = config.membrane.reflectivity, config.membrane.transmissivity
@@ -64,44 +57,41 @@ def back_action_spectrum(
     #     beta2_dp*u = -beta1_dp = -(tm*rho2_dp + 2*rb*tb)/rm
     # remove the O(1) terms, and the excesses (d_alpha2 taken along conj(u))
     # combine exactly: d_alpha1 + Re(d_alpha2) = rm*(tb^2 - rb^2)*Re(expm1(i*eps)).
+    # eps and phi(omega) are composed from their operating-point and sideband
+    # terms (cavity._Phases): two sideband factors per frequency, which the
+    # denominator shares.
     asym = tb**2 - rb**2
-    eps = cav.membrane_phase(config, om, exact_imbalance_sideband)
-    p_dp, rho2_dp = cav.dark_port_carrier(config)
-    z = p_dp * cav.expm1i(eps)
-    u = rho2_dp / abs(rho2_dp)
-    d_alpha1 = 2.0 * tm * rb * tb * z.real
-    d_alpha2 = (tb**2 * z + rb**2 * np.conj(z)) * np.conj(u)
-    d_beta1 = tm * (tb**2 * z - rb**2 * np.conj(z))
-    d_beta2 = 2j * rb * tb * z.imag * u
-    beta1_dp = (tm * rho2_dp + 2.0 * rb * tb) / rm
-
-    back = cav.expm1i(-cav.recycling_phase(config, 0.0))  # exp(-i*phi(0)) - 1
-    ahead = cav.expm1i(cav.recycling_phase(config, om))  # exp(i*phi(omega)) - 1
-    sideband = cav.expm1i(2.0 * om / C_LIGHT * geom.cavity_length)
+    ph = cav._phases(config)
+    dark = ph.dark
+    u = dark.u
+    beta1_dp = (tm * dark.rho2 + 2.0 * rb * tb) / rm
+    back = np.conj(ph.e_rt)  # exp(-i*phi(0)) - 1
     deficit = config.srm.reflection_deficit
+    denom0 = cav._denominator(config, cav._excess(dark, ph.e0)[1], ph.e_rt, 1.0 + ph.e_rt)
+    prefactor = 4.0 * HBAR * geom.wavenumber / C_LIGHT * rm**2 * config.input_power
 
-    laser_sum = (
-        -asym / rm * (deficit - r_sr * back) * (deficit - r_sr * ahead)
-        + 2.0 * r_sr * rm * asym * cav.expm1i(eps).real
-        + d_alpha1 * (deficit**2 + r_sr**2 * sideband)
-        + r_sr * (d_alpha2 * ahead + np.conj(d_alpha2) * back)
-    )
-    detector_sum = beta1_dp * (deficit - r_sr * back) + d_beta1 + r_sr * d_beta2 * (1.0 + back)
+    def densities(om):
+        e_eps = cav._compose(ph.e0, cav.expm1i(om / C_LIGHT * ph.delta_l))
+        z = dark.p * e_eps
+        d_alpha1 = 2.0 * tm * rb * tb * z.real
+        d_alpha2 = (tb**2 * z + rb**2 * np.conj(z)) * np.conj(u)
+        d_beta1 = tm * (tb**2 * z - rb**2 * np.conj(z))
+        d_beta2 = 2j * rb * tb * z.imag * u
+        sideband = cav.expm1i(2.0 * om / C_LIGHT * geom.cavity_length)
+        ahead = cav._compose(ph.e_rt, sideband)  # exp(i*phi(omega)) - 1
 
-    denom0 = cav.resonance_denominator(config, 0.0, exact_imbalance_sideband)
-    denom = cav.resonance_denominator(config, om, exact_imbalance_sideband)
+        laser_sum = (
+            -asym / rm * (deficit - r_sr * back) * (deficit - r_sr * ahead)
+            + 2.0 * r_sr * rm * asym * e_eps.real
+            + d_alpha1 * (deficit**2 + r_sr**2 * sideband)
+            + r_sr * (d_alpha2 * ahead + np.conj(d_alpha2) * back)
+        )
+        detector_sum = beta1_dp * (deficit - r_sr * back) + d_beta1 + r_sr * d_beta2 * (1.0 + back)
+        denom = cav._denominator(config, cav._excess(dark, e_eps)[1], ahead, 1.0 + ahead)
+        scale = prefactor / np.abs(denom0 * denom) ** 2
+        return scale * np.abs(laser_sum) ** 2, scale * t_sr**2 * np.abs(detector_sum) ** 2
 
-    scale = (
-        4.0
-        * HBAR
-        * geom.wavenumber
-        / C_LIGHT
-        * rm**2
-        * config.input_power
-        / np.abs(denom0 * denom) ** 2
-    )
-    laser_part = scale * np.abs(laser_sum) ** 2
-    detector_part = scale * t_sr**2 * np.abs(detector_sum) ** 2
+    laser_part, detector_part = cav._blockwise(densities, config, om)
     return NoiseSpectrum(om, laser_part + detector_part, laser_part, detector_part)
 
 

@@ -149,7 +149,9 @@ def matrix_path_kernel(config, omega, arm_gauge=0.0):
     d0 = cav.resonance_denominator(config, 0.0)
     y = config.srm.reflectivity * np.exp(1j * cav.roundtrip_phase(config)) * tau / d0
 
-    upper = static - 2.0 * ba._feedback_term(config, om, y)
-    lower = static - 2.0 * ba._feedback_term(config, -om, y)
+    ph = cav._phases(config)
+    e_h = cav.expm1i(0.5 * om / C_LIGHT * ph.delta_l)
+    upper = static - 2.0 * ba._feedback_term(config, ph, y, om, e_h)
+    lower = static - 2.0 * ba._feedback_term(config, ph, y, -om, np.conj(e_h))
     scale = 2j * config.geometry.wavenumber / C_LIGHT * rm * config.input_power
     return scale * (upper - np.conj(lower))

@@ -90,7 +90,7 @@ def test_criterion_04_oracle_equivalence(narrow_config):
     for delta in deltas:
         config = cav.with_total_detuning(narrow_config, delta)
         exact = ba.kernel_exact(config, omegas)
-        approx = ba.kernel_narrowband_config(config, omegas)
+        approx = ba.kernel_narrowband(cav.effective_cavity(config), *ba._gain_inputs(config), omegas)
         worst = max(worst, float(np.max(np.abs(exact - approx) / np.abs(exact))))
     elapsed = time.perf_counter() - start
     assert worst < 0.05
@@ -107,7 +107,7 @@ def test_criterion_04_oracle_equivalence(narrow_config):
         config = cav.with_total_detuning(deep, delta)
         omegas_deep = np.linspace(0.05, 0.5, 21) * gamma_deep
         exact = ba.kernel_exact(config, omegas_deep)
-        approx = ba.kernel_narrowband_config(config, omegas_deep)
+        approx = ba.kernel_narrowband(cav.effective_cavity(config), *ba._gain_inputs(config), omegas_deep)
         worst_deep = max(worst_deep, float(np.max(np.abs(exact - approx) / np.abs(exact))))
     assert worst_deep < 0.005
     report(4, f"101x101 grid max deviation {worst * 100:.2f}% in {elapsed:.2f}s, "

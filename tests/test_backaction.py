@@ -173,7 +173,7 @@ def test_oracle_equivalence_reference_regime(narrow_config):
     for delta in np.linspace(-3, 3, 13) * gamma:
         config = cav.with_total_detuning(narrow_config, delta)
         exact = ba.kernel_exact(config, omegas)
-        approx = ba.kernel_narrowband_config(config, omegas)
+        approx = ba.kernel_narrowband(cav.effective_cavity(config), *ba._gain_inputs(config), omegas)
         assert np.max(np.abs(exact - approx) / np.abs(exact)) < 0.05
 
 
@@ -188,7 +188,7 @@ def test_oracle_equivalence_deep_narrowband(narrow_config):
     for delta in np.linspace(-0.5, 0.5, 11) * gamma:
         tuned = cav.with_total_detuning(config, delta)
         exact = ba.kernel_exact(tuned, omegas)
-        approx = ba.kernel_narrowband_config(tuned, omegas)
+        approx = ba.kernel_narrowband(cav.effective_cavity(tuned), *ba._gain_inputs(tuned), omegas)
         assert np.max(np.abs(exact - approx) / np.abs(exact)) < 0.005
 
 
@@ -318,7 +318,7 @@ def test_canonical_antisymmetry_tolerance(geometry):
 def test_responses_extract_spring_and_damping(narrow_config):
     omega = np.linspace(0.3, 2.0, 7) * GAMMA
     for kernel in (ba.kernel_exact(narrow_config, omega),
-                   ba.kernel_narrowband_config(narrow_config, omega)):
+                   ba.kernel_narrowband(cav.effective_cavity(narrow_config), *ba._gain_inputs(narrow_config), omega)):
         spring, damping = ba.spring_damping(kernel, omega)
         assert np.array_equal(spring, kernel.real)
         assert np.array_equal(damping, -kernel.imag / (2 * omega))
@@ -329,3 +329,23 @@ def test_canonical_check_requires_symmetric_grid(geometry):
     deltas = np.linspace(-1, 2, 100) * GAMMA
     with pytest.raises(ValueError):
         ba.canonical_features_check(deltas, deltas, deltas, GAMMA, GAMMA)
+
+
+def test_exact_kernel_broadcasts_over_operating_point_and_frequency(narrow_config):
+    # an srm_detuning column against an omega row, and an offset column against
+    # an srm_detuning row at one omega, agree with the calls row by row
+    omega = np.linspace(0.1, 3.0, 31) * GAMMA
+    tunings = np.linspace(-2.0, 2.0, 7) * GAMMA
+    grid = ba.kernel_exact(replace(narrow_config, srm_detuning=tunings[:, None]), omega)
+    rows = np.array([ba.kernel_exact(replace(narrow_config, srm_detuning=t), omega) for t in tunings])
+    assert grid.shape == rows.shape
+    assert np.max(np.abs(grid - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+    offsets = np.linspace(0.005, 0.015, 5)[:, None] * WAVELENGTH
+    grid = ba.kernel_exact(replace(narrow_config, offset=offsets, srm_detuning=tunings), GAMMA)
+    rows = np.array(
+        [ba.kernel_exact(replace(narrow_config, offset=float(x), srm_detuning=tunings), GAMMA)
+         for x in offsets[:, 0]]
+    )
+    assert grid.shape == rows.shape
+    assert np.max(np.abs(grid - rows)) <= 1e-13 * np.max(np.abs(rows))

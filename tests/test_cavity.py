@@ -249,3 +249,32 @@ def test_membrane_field_matrices_resonant_gain(narrow_config):
         / (cavity.half_linewidth**2 + cavity.detuning**2)
     )
     assert abs(gain - lorentz) / gain < 0.01
+
+
+def test_composed_phase_factor_matches_50_digit_reference():
+    """e_a + e_b*(1 + e_a), with e_x = expm1(i*x), against expm1(i*(a + b)) at
+    50 digits.  It is as accurate as expm1i of the rounded sum a + b up to a
+    few ulp of the parts: where a and b nearly cancel (the recycling phase at
+    srm_detuning ~ -omega) the rounded sum is exact and the parts are the
+    larger numbers."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    rng = np.random.default_rng(11)
+    n = 400
+
+    def signed_decades(low, high):
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
+
+    a = signed_decades(-9, 0)
+    b = np.concatenate([signed_decades(-9, 0), -a * (1.0 + signed_decades(-12, -1))])
+    a = np.concatenate([a, a])
+    e_a, e_b = cav.expm1i(a), cav.expm1i(b)
+    composed = cav._compose(e_a, e_b)
+    rounded = cav.expm1i(a + b)
+    ulp = np.finfo(float).eps
+    with mp.workdps(50):
+        for i in range(a.size):
+            exact = mp.expj(mp.mpf(a[i]) + mp.mpf(b[i])) - 1
+            err_composed = float(abs(mp.mpc(composed[i]) - exact))
+            err_rounded = float(abs(mp.mpc(rounded[i]) - exact))
+            assert err_composed <= err_rounded + 4.0 * ulp * (abs(e_a[i]) + abs(e_b[i])), i

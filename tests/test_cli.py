@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ospring
+from ospring import backaction as ba
 from ospring import cavity as cav
 from ospring import cli
 from ospring import stability as st
@@ -245,12 +246,24 @@ def test_stability_json_booleans(tmp_path):
     assert set(map(type, payload["regime_label"])) == {str}
 
 
-@pytest.mark.parametrize("name", ["fig2c", "fig2d", "fig4a", "fig4b"])
+@pytest.mark.parametrize(
+    "name", ["fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b"]
+)
 def test_validate_passes_reference_preset(tmp_path, name):
     out = tmp_path / "validate.txt"
     assert run_cli("validate", "--config", preset_path(name), "--out", str(out)) == 0
     lines = out.read_text().splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_validate_catches_a_wrong_narrowband_damping(tmp_path, monkeypatch):
+    # the exact-vs-narrow-band check is normalised by the peak of a detuning
+    # sweep; it must still see a narrow-band kernel whose damping has the wrong sign
+    narrowband = ba.kernel_narrowband
+    monkeypatch.setattr(ba, "kernel_narrowband", lambda *a, **k: np.conj(narrowband(*a, **k)))
+    out = tmp_path / "validate.txt"
+    assert run_cli("validate", "--config", preset_path("fig2c"), "--out", str(out)) == 2
+    assert "FAIL: exact_vs_narrowband_kernel" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig3d"])

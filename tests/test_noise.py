@@ -66,15 +66,22 @@ def test_matrix_route_oracle(narrow_config, asym_config):
                 assert spectrum.detector_part[0] == pytest.approx(detector, rel=1e-6)
 
 
-def test_asymmetry_vanishes_on_canonical_point(narrow_config):
+def _idealized_spectrum(monkeypatch, config, omega):
+    """The spectrum of the idealized canonical model: the imbalance phase
+    without its sideband term omega*delta_l/c, in the sums and denominators."""
+    phases = cav._phases
+    with monkeypatch.context() as patch:
+        patch.setattr(cav, "_phases", lambda c: phases(c)._replace(delta_l=0.0))
+        return noi.back_action_spectrum(config, omega)
+
+
+def test_asymmetry_vanishes_on_canonical_point(narrow_config, monkeypatch):
     config = cav.with_total_detuning(replace(narrow_config, offset=0.0), 0.0)
     spectrum = noi.back_action_spectrum(config, np.array([OMEGA_M, -OMEGA_M]))
     scale = spectrum.total.max()
     # idealized canonical model: drop the sideband imbalance correction;
     # rounding through the resonant denominator leaves ~1e-12 relative noise
-    fast = noi.back_action_spectrum(
-        config, np.array([OMEGA_M, -OMEGA_M]), exact_imbalance_sideband=False
-    )
+    fast = _idealized_spectrum(monkeypatch, config, np.array([OMEGA_M, -OMEGA_M]))
     assert abs(fast.total[0] - fast.total[1]) <= 2e-12 * scale
     # the exact path keeps a real residue of order omega*delta_l/c
     assert abs(spectrum.total[0] - spectrum.total[1]) <= 1e-11 * scale
@@ -146,12 +153,12 @@ def test_asymmetry_zeros_coincide_with_damping_zeros(narrow_config):
     assert np.array_equal(flips_damping, flips_asym)
 
 
-def test_fast_path_agreement(narrow_config):
+def test_fast_path_agreement(narrow_config, monkeypatch):
     gamma = cav.effective_cavity(narrow_config).half_linewidth
     grid = np.linspace(-3, 3, 501) * gamma
     grid = grid[grid != 0.0]
     exact = noi.back_action_spectrum(narrow_config, grid)
-    fast = noi.back_action_spectrum(narrow_config, grid, exact_imbalance_sideband=False)
+    fast = _idealized_spectrum(monkeypatch, narrow_config, grid)
     assert np.max(np.abs(fast.total - exact.total) / exact.total) < 5e-6
 
 
@@ -181,3 +188,26 @@ def test_normalized_peak_is_one(narrow_config):
     assert normalized.total.max() == pytest.approx(1.0, abs=0.0)
     closure = normalized.laser_part + normalized.detector_part
     assert np.max(np.abs(normalized.total - closure)) < 1e-12
+
+
+def test_exact_path_peak_memory(narrow_config):
+    # traced peak of a long sweep in complex columns of its length: 11.0 for the
+    # kernel (9.6e4 points) and 13.6 for the spectrum (8e4) when every
+    # intermediate was a whole-length temporary; blocks keep both near 2
+    import tracemalloc
+
+    gamma = cav.effective_cavity(narrow_config).half_linewidth
+    config = cav.with_total_detuning(narrow_config, -0.4 * gamma)
+    cases = (
+        (ba.kernel_exact, np.linspace(0.01, 5.0, 96_000) * gamma, 3.0),
+        (noi.back_action_spectrum, np.linspace(-5.0, 5.0, 80_000) * gamma, 4.0),
+    )
+    for fn, omega, bound in cases:
+        fn(config, omega[:10])
+        tracemalloc.start()
+        try:
+            fn(config, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * omega.size) <= bound, fn.__name__
