@@ -80,31 +80,28 @@ def _feedback_term(config: InterferometerConfig, ph: cav._Phases, y, omega, e_h)
     expm1(+-i*h) with scalar coefficients and no O(1) terms cancel.
 
     common = rm*R_sr*exp(i*phi)*conj(u)/denom, exp(i*phi) = 1 + e_phi.  The
-    recycling phase phi = 2*(srm_detuning + omega)*Lc/c and the membrane
-    phases theta and eps = psi + 2h are taken whole: srm_detuning + omega is
-    exact where the two nearly cancel, at the sideband resonance, which a
-    composition of the operating-point and sideband factors would round.
+    membrane phases are composed (:func:`ospring.cavity._compose`) from the
+    operating point's e0 = expm1(i*k0*x) and e_h: theta - psi_dp = k0*x + h
+    and eps = k0*x + 2h, with expm1(2ih) = e_h*(2 + e_h).  The recycling
+    phase phi = 2*(srm_detuning + omega)*Lc/c is taken whole
+    (:func:`ospring.cavity._recycling_factor`): composed from e_rt and a
+    sideband factor, it measured less accurate against the 50-digit
+    reference on the fig2d preset.
     """
     rm, tm = config.membrane.reflectivity, config.membrane.transmissivity
     rb, tb = config.bs.reflectivity, config.bs.transmissivity
     r_sr = config.srm.reflectivity
     c = rb * tb
-    asym = tb**2 - rb**2
+    asym = config.bs.asymmetry  # tb^2 - rb^2
     dark = ph.dark
-    k0x = config.geometry.wavenumber * config.offset
 
     # dark-port values: alpha1 = -asym/rm, alpha2 = asym/rm * rho2/|rho2|,
     # beta1 = (tm*rho2 + 2*rb*tb)/rm, beta2 = 2i*rb*tb*sin(psi_dp)
     g_a0 = -(2j * c * dark.p.imag + y * asym / rm * dark.u)
-    g_b0 = -y * asym / rm - (tm * dark.rho2.conjugate() + 2.0 * c) / rm
+    g_b0 = -y * asym / rm - dark.beta1.conjugate()
 
-    _, w = cav._excess(dark, cav.expm1i(k0x + omega / C_LIGHT * ph.delta_l))
-    phi = config.srm_detuning + omega
-    phi *= 2.0
-    phi *= config.geometry.cavity_length
-    phi /= C_LIGHT
-    e_phi = cav.expm1i(phi)
-    del phi  # dropped once consumed: a whole-length (map) call holds fewer at its peak
+    _, w = cav._excess(dark, cav._compose(ph.e0, e_h * (2.0 + e_h)))
+    e_phi = cav._recycling_factor(config, omega)
     rho = 1.0 + e_phi
     denom = cav._denominator(config, w, e_phi, rho)
     del w, e_phi
@@ -113,7 +110,7 @@ def _feedback_term(config: InterferometerConfig, ph: cav._Phases, y, omega, e_h)
     common = rho / denom
     del rho, denom
 
-    z = cav.expm1i(k0x + 0.5 * omega / C_LIGHT * ph.delta_l)
+    z = cav._compose(ph.e0, e_h)
     z *= dark.p
     z_bar = z.conjugate()
     a_z = c + y * tb**2
@@ -145,7 +142,10 @@ def kernel_exact(config: InterferometerConfig, omega):
     b^T sigma3 a only its imaginary part (:func:`_carrier`) survives the
     difference of the quadratic forms at +omega and, conjugated, at -omega;
     :func:`_feedback_term` gives the rest.  The operating point is resolved
-    once (:func:`ospring.cavity._phases`), and expm1(-i*h) = conj(expm1(i*h)).
+    once (:func:`ospring.cavity._phases`); the membrane phases at +-omega are
+    composed from it and one sideband factor e_h = expm1(i*h), conjugated for
+    -omega, and the recycling phase is taken whole per sideband: six
+    ``np.sin`` per point.
     """
     if isinstance(omega, float) or np.ndim(omega) == 0:
         om = float(omega)

@@ -38,6 +38,14 @@ def dark_port_phase(membrane: MirrorParams, bs: BeamsplitterParams, index: int =
     on the branch indexed by the odd integer ``index`` (a balanced
     beamsplitter gives index * pi/2).
     """
+    base = math.acos(_dark_port_cosine(membrane, bs, index))
+    if index % 4 == 1:
+        return (index - 1) * math.pi / 2.0 + base
+    return (index + 1) * math.pi / 2.0 - base
+
+
+def _dark_port_cosine(membrane: MirrorParams, bs: BeamsplitterParams, index: int) -> float:
+    """cos(psi_dp) = -(t_m/r_m) * asymmetry / sqrt(1 - asymmetry^2), checked."""
     if index < 1 or index % 2 == 0:
         raise ValueError("dark port index must be a positive odd integer")
     if membrane.reflectivity <= 0.0:
@@ -51,10 +59,7 @@ def dark_port_phase(membrane: MirrorParams, bs: BeamsplitterParams, index: int =
         raise NoDarkPortError(
             f"no dark output: required cosine {rhs:.6g} falls outside [-1, 1]"
         )
-    base = math.acos(rhs)
-    if index % 4 == 1:
-        return (index - 1) * math.pi / 2.0 + base
-    return (index + 1) * math.pi / 2.0 - base
+    return rhs
 
 
 def dark_port_offset(
@@ -98,19 +103,37 @@ class _DarkPort(NamedTuple):
     tau_coef: complex
     w_re: complex
     w_im: complex
+    beta1: complex  # (tm*rho2_dp + 2*rb*tb)/rm, the detector-port sum on the dark port
 
 
 @lru_cache(maxsize=128)
 def _dark_port_carrier(membrane: MirrorParams, bs: BeamsplitterParams, index: int) -> _DarkPort:
-    psi_dp = dark_port_phase(membrane, bs, index)
-    _, rho2, _ = to.effective_mirror(membrane, bs, psi_dp)
-    p_dp, rho2_dp = cmath.exp(1j * psi_dp), complex(rho2)
-    rm, rb, tb = membrane.reflectivity, bs.reflectivity, bs.transmissivity
-    alpha = rm * tb**2 * p_dp / rho2_dp  # w = alpha*e - beta*conj(e)
-    beta = rm * rb**2 * p_dp.conjugate() / rho2_dp
+    """The constants of the index-th dark port, from its condition rather than
+    from the double psi_dp, whose rounding would rotate the excess z.
+
+    p_dp = (cos, sin)(psi_dp) takes the cosine the condition fixes and the
+    sign of the sine from the branch.  With a the beamsplitter asymmetry,
+    tb^2 - rb^2 = a, tb^2 + rb^2 = 1 and 2*rb*tb = sqrt(1 - a^2) = s, every
+    other constant is a closed form in p_dp: rho2_dp = rm*(tb^2*p_dp -
+    rb^2*conj(p_dp)) - tm*s = (-tm/s, rm*sin(psi_dp)), and the sums whose
+    O(1) terms cancel (w's coefficients, beta1) are written without the
+    cancellation.
+    """
+    cosine = _dark_port_cosine(membrane, bs, index)
+    sine = math.sqrt((1.0 - cosine) * (1.0 + cosine))
+    if index % 4 != 1:
+        sine = -sine
+    p_dp = complex(cosine, sine)
+    rm, tm = membrane.reflectivity, membrane.transmissivity
+    asym = bs.asymmetry
+    cross = math.sqrt(1.0 - asym * asym)  # 2*rb*tb
+    rho2_dp = complex(-tm / cross, rm * sine)
     return _DarkPort(
-        p_dp, rho2_dp, rho2_dp / abs(rho2_dp), psi_dp,
-        2.0 * rm * rb * tb * p_dp, alpha - beta, 1j * (alpha + beta),
+        p_dp, rho2_dp, rho2_dp / abs(rho2_dp), dark_port_phase(membrane, bs, index),
+        rm * cross * p_dp,
+        rm * complex(asym * cosine, sine) / rho2_dp,  # w = w_re*Re(e) + w_im*Im(e)
+        1j * rm * complex(cosine, asym * sine) / rho2_dp,
+        complex((rm * rm - asym * asym) / (cross * rm), tm * sine),
     )
 
 
@@ -174,7 +197,7 @@ def expm1i(theta):
     """exp(i*theta) - 1 without the cancellation of the direct difference."""
     if isinstance(theta, float) or np.ndim(theta) == 0:  # scalar sweeps call this per point
         half = math.sin(0.5 * theta)
-        return complex(-2.0 * half * half, math.sin(theta))
+        return complex(-2.0 * (half * half), math.sin(theta))  # rounds as the array path
     theta = np.asarray(theta, dtype=float)
     half = 0.5 * theta
     np.sin(half, out=half)
@@ -199,8 +222,8 @@ class _Phases(NamedTuple):
     frequency omega: the membrane phase eps = k0*offset + omega*delta_l/c and
     the recycling phase phi = 2*srm_detuning*Lc/c + 2*omega*Lc/c, both taken
     from the dark-port resonance.  ``e0`` and ``e_rt`` are the expm1(i*...)
-    of the operating-point terms, the carrier's own (omega = 0); the
-    spectrum adds the sideband terms with :func:`_compose`.
+    of the operating-point terms, the carrier's own (omega = 0); the kernel
+    and the spectrum add the sideband terms with :func:`_compose`.
     """
 
     dark: _DarkPort
@@ -238,6 +261,17 @@ def _excess(dark: _DarkPort, e):
     return k.real * e.real - k.imag * e.imag, w
 
 
+def _recycling_factor(config: InterferometerConfig, omega):
+    """expm1(i*phi) of the recycling phase phi = 2*(srm_detuning + omega)*Lc/c,
+    taken whole: srm_detuning + omega is exact where the two nearly cancel, at
+    the sideband resonance."""
+    phi = config.srm_detuning + omega
+    phi *= 2.0
+    phi *= config.geometry.cavity_length
+    phi /= C_LIGHT
+    return expm1i(phi)
+
+
 def _denominator(config: InterferometerConfig, w, e_phi, rho):
     """The recycling denominator of :func:`resonance_denominator` from w,
     e_phi = expm1(i*phi) and rho = 1 + e_phi."""
@@ -273,7 +307,7 @@ def resonance_denominator(config: InterferometerConfig, omega):
     om = np.asarray(omega, dtype=float)
     geom = config.geometry
     _, w = _excess(ph.dark, expm1i(geom.wavenumber * config.offset + om / C_LIGHT * ph.delta_l))
-    e_phi = expm1i(2.0 * (config.srm_detuning + om) * geom.cavity_length / C_LIGHT)
+    e_phi = _recycling_factor(config, om)
     return _denominator(config, w, e_phi, 1.0 + e_phi)
 
 
@@ -343,6 +377,17 @@ class EffectiveCavity:
         )
 
 
+def _carrier_excess(config: InterferometerConfig):
+    """:func:`_excess` of the carrier, at the membrane phase k0*offset."""
+    dark = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
+    return _excess(dark, expm1i(config.geometry.wavenumber * config.offset))
+
+
+def _membrane_detuning(config: InterferometerConfig, w):
+    """The membrane detuning c*arg(1 + w)/(2*Lc) of the carrier's w."""
+    return C_LIGHT * np.arctan2(w.imag, 1.0 + w.real) / (2.0 * config.geometry.cavity_length)
+
+
 def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     """Reduce the operating point to effective-cavity detunings and linewidths;
     broadcasts over an array ``offset`` and ``srm_detuning``.
@@ -352,8 +397,7 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     """
     lc = config.geometry.cavity_length
     srm = config.srm
-    dark = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
-    tau, w = _excess(dark, expm1i(config.geometry.wavenumber * config.offset))
+    tau, w = _carrier_excess(config)
     tau_sq = tau * tau
     if srm.transmissivity**2 > NARROWBAND_WARN or np.count_nonzero(tau_sq > NARROWBAND_WARN):
         # attributed to this line, so the default filter shows it once per process
@@ -365,7 +409,7 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     gamma_sr = C_LIGHT * srm.transmissivity**2 / (4.0 * lc)
     gamma_m = C_LIGHT * tau_sq / (4.0 * lc)
     deficit = srm.reflection_deficit + srm.reflectivity * tau_sq / (1.0 + np.sqrt(1.0 - tau_sq))
-    membrane_detuning = C_LIGHT * np.arctan2(w.imag, 1.0 + w.real) / (2.0 * lc)
+    membrane_detuning = _membrane_detuning(config, w)
 
     return EffectiveCavity(
         detuning=config.srm_detuning + membrane_detuning,
@@ -384,8 +428,9 @@ def with_total_detuning(config: InterferometerConfig, detuning) -> Interferomete
     The membrane contribution is fixed by the offset, so the recycling
     tuning absorbs the difference in a single pass.  An array ``detuning``
     gives an array ``srm_detuning``: one configuration for the whole sweep.
+    Only the membrane detuning is formed, not the whole reduction.
     """
-    membrane_detuning = effective_cavity(config).membrane_detuning
+    membrane_detuning = _membrane_detuning(config, _carrier_excess(config)[1])
     return replace(config, srm_detuning=detuning - membrane_detuning)
 
 

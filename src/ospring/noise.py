@@ -60,11 +60,10 @@ def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
     # eps and phi(omega) are composed from their operating-point and sideband
     # terms (cavity._Phases): two sideband factors per frequency, which the
     # denominator shares.
-    asym = tb**2 - rb**2
+    asym = config.bs.asymmetry  # tb^2 - rb^2
     ph = cav._phases(config)
     dark = ph.dark
     u = dark.u
-    beta1_dp = (tm * dark.rho2 + 2.0 * rb * tb) / rm
     back = np.conj(ph.e_rt)  # exp(-i*phi(0)) - 1
     deficit = config.srm.reflection_deficit
     denom0 = cav._denominator(config, cav._excess(dark, ph.e0)[1], ph.e_rt, 1.0 + ph.e_rt)
@@ -86,7 +85,9 @@ def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
             + d_alpha1 * (deficit**2 + r_sr**2 * sideband)
             + r_sr * (d_alpha2 * ahead + np.conj(d_alpha2) * back)
         )
-        detector_sum = beta1_dp * (deficit - r_sr * back) + d_beta1 + r_sr * d_beta2 * (1.0 + back)
+        detector_sum = (
+            dark.beta1 * (deficit - r_sr * back) + d_beta1 + r_sr * d_beta2 * (1.0 + back)
+        )
         denom = cav._denominator(config, cav._excess(dark, e_eps)[1], ahead, 1.0 + ahead)
         scale = prefactor / np.abs(denom0 * denom) ** 2
         return scale * np.abs(laser_sum) ** 2, scale * t_sr**2 * np.abs(detector_sum) ** 2

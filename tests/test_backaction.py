@@ -349,3 +349,22 @@ def test_exact_kernel_broadcasts_over_operating_point_and_frequency(narrow_confi
     )
     assert grid.shape == rows.shape
     assert np.max(np.abs(grid - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def test_exact_kernel_evaluates_three_sideband_factors_per_block(narrow_config, monkeypatch):
+    """kernel_exact composes its membrane phases at +-omega from one factor
+    e_h per block and takes the recycling phase whole per sideband: three
+    omega-length calls of expm1i per block, six np.sin per point."""
+    sizes = []
+    expm1i = cav.expm1i
+
+    def counting(theta):
+        if np.ndim(theta):
+            sizes.append(np.size(theta))
+        return expm1i(theta)
+
+    gamma = cav.effective_cavity(narrow_config).half_linewidth
+    omega = np.linspace(0.01, 5.0, 2 * cav._BLOCK + 100) * gamma
+    monkeypatch.setattr(cav, "expm1i", counting)
+    ba.kernel_exact(narrow_config, omega)
+    assert sorted(sizes) == [100] * 3 + [cav._BLOCK] * 6

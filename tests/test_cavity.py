@@ -136,6 +136,45 @@ def test_effective_cavity_broadcasts_over_offset(
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), field.name
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    membrane_r2=hst.floats(0.05, 1.0),
+    asymmetry=hst.floats(-0.6, 0.6),
+    index=hst.sampled_from([1, 3, 5, 7]),
+    offsets=hst.lists(hst.floats(-0.12, 0.12), min_size=1, max_size=8),
+    detuning=hst.floats(-1e7, 1e7),
+    scalar=hst.booleans(),
+)
+def test_total_detuning_matches_the_reduction_bit_for_bit(
+    membrane_r2, asymmetry, index, offsets, detuning, scalar
+):
+    """with_total_detuning forms only the membrane detuning, and it is the one
+    effective_cavity reports, for a scalar and an array offset."""
+    membrane = MirrorParams.from_power_reflectivity(membrane_r2)
+    bs = BeamsplitterParams(asymmetry)
+    try:
+        cav.dark_port_phase(membrane, bs, index)
+    except cav.NoDarkPortError:
+        assume(False)
+    xs = np.array(offsets) * WAVELENGTH
+    config = InterferometerConfig(
+        geometry=Geometry(0.05, 0.027, 0.01, WAVELENGTH),
+        membrane=membrane,
+        srm=MirrorParams.from_power_transmissivity(3e-4),
+        bs=bs,
+        input_power=0.2,
+        dark_port_index=index,
+        offset=float(xs[0]) if scalar else xs,
+        srm_detuning=1.5e5,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # narrow-band validity is not at issue here
+        want = detuning - cav.effective_cavity(config).membrane_detuning
+        got = cav.with_total_detuning(config, detuning).srm_detuning
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
 def test_exact_vs_narrowband_linewidth_bound(narrow_config):
     for offset in (0.002, 0.01, 0.03):
         config = replace(narrow_config, offset=offset * WAVELENGTH)

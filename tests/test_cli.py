@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 import ospring
 from ospring import backaction as ba
@@ -15,7 +17,7 @@ from ospring import cavity as cav
 from ospring import cli
 from ospring import stability as st
 from ospring.presets import PRESET_METHODS, PRESET_NAMES, PRESET_SUBCOMMANDS, preset_path
-from ospring.runconfig import RunConfig, load_config
+from ospring.runconfig import PHYSICAL_KEYS, REQUIRED_PHYSICAL, RunConfig, load_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -72,6 +74,84 @@ def test_non_finite_integer_is_validation_exit(tmp_path, capsys, line, value):
     assert run_cli("backaction", "--config", cfg, "--method", "narrowband") == 2
     err = capsys.readouterr().err
     assert err.startswith("ospring:") and f"'{key}'" in err
+
+
+def _cfg_sections(text):
+    """A config's ``[(section, [(key, value), ...]), ...]``, comments dropped."""
+    sections = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            sections.append((line[1:-1], []))
+        elif line:
+            key, value = line.split("=", 1)
+            sections[-1][1].append((key.strip(), value.strip()))
+    return sections
+
+
+# faults of the file's grammar (exit 1) and of its content (exit 2)
+PARSE_FAULTS = ("duplicate_key", "duplicate_section", "key_before_header", "line_without_delimiter")
+VALIDATION_FAULTS = ("unknown_key", "unknown_section", "missing_key", "bad_value", "both_detunings")
+
+
+@hst.composite
+def malformed_cfg(draw):
+    """A shipped preset with one to three faults; returns (text, exit code).
+    Content faults are applied first, so that a grammar fault is not undone,
+    and every added key or section name is new: a repeat would be a grammar
+    fault of its own."""
+    preset = draw(hst.sampled_from(PRESET_NAMES))
+    sections = _cfg_sections(Path(preset_path(preset)).read_text())
+    fault = hst.sampled_from(PARSE_FAULTS + VALIDATION_FAULTS)
+    faults = draw(hst.lists(fault, min_size=1, max_size=3))
+    faults.sort(key=PARSE_FAULTS.__contains__)
+    word = hst.from_regex(r"[a-z][a-z_]{0,10}", fullmatch=True)
+    physical = dict(sections)["physical"]
+    head = []
+    for i, fault in enumerate(faults):
+        keys = [key for key, _ in physical]
+        if fault == "unknown_key":
+            physical.append((f"{draw(word)}{i}", "1.0"))
+        elif fault == "unknown_section":
+            sections.append((f"{draw(word)}{i}", [("key", "1")]))
+        elif fault == "missing_key":
+            gone = draw(hst.sampled_from([key for key in REQUIRED_PHYSICAL if key in keys]))
+            physical[:] = [item for item in physical if item[0] != gone]
+        elif fault == "bad_value":
+            j = draw(hst.integers(0, len(physical) - 1))
+            physical[j] = (physical[j][0], draw(hst.from_regex(r"[a-z]{1,8}", fullmatch=True)))
+        elif fault == "both_detunings":
+            for key in ("detuning_over_gamma", "detuning_rad_s"):
+                if key not in keys:
+                    physical.append((key, "0.0"))
+        elif fault == "duplicate_key":
+            name, items = draw(hst.sampled_from([s for s in sections if s[1]]))
+            items.append(draw(hst.sampled_from(items)))
+        elif fault == "duplicate_section":
+            sections.append((draw(hst.sampled_from(sections))[0], []))
+        elif fault == "key_before_header":
+            head.append(f"{draw(hst.sampled_from(sorted(PHYSICAL_KEYS)))} = 1.0")
+        else:
+            draw(hst.sampled_from(sections))[1].append((draw(word), None))
+    lines = list(head)
+    for name, items in sections:
+        lines.append(f"[{name}]")
+        lines += [key if value is None else f"{key} = {value}" for key, value in items]
+    expected = 1 if any(fault in PARSE_FAULTS for fault in faults) else 2
+    return "\n".join(lines) + "\n", expected
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=malformed_cfg())
+def test_malformed_config_exit_codes(tmp_path, case):
+    """A grammar fault of the file exits 1 and a bad, missing or surplus key
+    or section exits 2, whatever the preset and however the faults combine."""
+    text, expected = case
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli("cavity", "--config", str(cfg)) == expected, text
 
 
 def test_frequency_sweep_must_stay_positive(tmp_path, capsys):

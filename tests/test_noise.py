@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from ospring import backaction as ba
 from ospring import cavity as cav
 from ospring import noise as noi
-from ospring.params import HBAR, MirrorParams
+from ospring.params import HBAR, BeamsplitterParams, Geometry, InterferometerConfig, MirrorParams
 
-from conftest import matrix_noise_density, random_config
+from conftest import WAVELENGTH, matrix_noise_density, random_config
 
 OMEGA_M = 2 * math.pi * 133e3
 
@@ -49,6 +51,46 @@ def test_positivity_and_closure_random_draws(geometry):
         assert np.max(np.abs(spectrum.total - closure)) <= 1e-12 * np.max(spectrum.total)
         total_points += grid.size
     assert total_points >= 10_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    membrane_r2=hst.floats(0.05, 0.95),
+    asymmetry=hst.floats(-0.5, 0.5),
+    index=hst.sampled_from([1, 3, 5]),
+    t_sr_sq=hst.floats(1e-5, 1e-2),
+    offset=hst.floats(-0.02, 0.02),
+    detuning=hst.floats(-2.0, 2.0),
+    power=hst.floats(0.01, 1.0),
+)
+def test_positivity_and_closure_over_random_configs(
+    membrane_r2, asymmetry, index, t_sr_sq, offset, detuning, power
+):
+    """Both parts of the density are non-negative and they sum to the total,
+    as in the fixed-seed draws above."""
+    membrane = MirrorParams.from_power_reflectivity(membrane_r2)
+    bs = BeamsplitterParams(asymmetry)
+    try:
+        cav.dark_port_phase(membrane, bs, index)
+    except cav.NoDarkPortError:
+        assume(False)
+    config = InterferometerConfig(
+        geometry=Geometry(0.05, 0.027, 0.01, WAVELENGTH),
+        membrane=membrane,
+        srm=MirrorParams.from_power_transmissivity(t_sr_sq),
+        bs=bs,
+        input_power=power,
+        dark_port_index=index,
+        offset=offset * WAVELENGTH,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # narrow-band validity is not at issue here
+        gamma = cav.effective_cavity(config).half_linewidth
+        config = cav.with_total_detuning(config, detuning * gamma)
+    spectrum = noi.back_action_spectrum(config, np.linspace(-4.0, 4.0, 81) * gamma)
+    assert np.all(spectrum.laser_part >= 0.0) and np.all(spectrum.detector_part >= 0.0)
+    closure = spectrum.laser_part + spectrum.detector_part
+    assert np.max(np.abs(spectrum.total - closure)) <= 1e-12 * np.max(spectrum.total)
 
 
 def test_matrix_route_oracle(narrow_config, asym_config):

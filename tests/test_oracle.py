@@ -20,6 +20,7 @@ with the error measured relative to the peak that sets the normalisation
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +28,15 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
+from ospring import backaction as ba  # noqa: E402
 from ospring import cavity as cav  # noqa: E402
 from ospring import cli  # noqa: E402
+from ospring.params import (  # noqa: E402
+    BeamsplitterParams,
+    Geometry,
+    InterferometerConfig,
+    MirrorParams,
+)
 from ospring.presets import PRESET_METHODS, PRESET_SUBCOMMANDS, preset_path  # noqa: E402
 from ospring.runconfig import load_config  # noqa: E402
 
@@ -352,12 +360,120 @@ def column_errors(path, reference):
     return errors
 
 
-@pytest.mark.parametrize("name", sorted(BOUNDS))
-def test_preset_columns_match_reference(tmp_path, name):
-    out = tmp_path / f"{name}.csv"
+@pytest.mark.parametrize("index", [1, 3, 5, 7])
+@pytest.mark.parametrize("power_r, asymmetry", [(0.17, 0.0), (0.3, -0.3), (1.0, 0.0), (1.0, -0.3)])
+def test_dark_port_constants_are_exact_to_a_few_ulp(power_r, asymmetry, index):
+    """At the stored p_dp the 50-digit cross-coupling tau vanishes to a few ulp
+    of its two terms (exactly, where they are 0), and |rho2_dp| = 1 to a few ulp.
+
+    Amplitudes are built from the power values at 50 digits, as in
+    :class:`_Operating`.  A p_dp rotated by the rounding of the double psi_dp
+    leaves tau = rm*Re(p_dp) = -7.6e-17 on fig2d's dark port (index 3)."""
+    membrane = MirrorParams.from_power_reflectivity(power_r)
+    bs = BeamsplitterParams(asymmetry)
+    dark = cav._dark_port_carrier(membrane, bs, index)
+    eps = np.finfo(float).eps
+    with mp.workdps(DIGITS):
+        rm, tm = mp.sqrt(mp.mpf(power_r)), mp.sqrt(1 - mp.mpf(power_r))
+        a = mp.mpf(asymmetry)
+        rb, tb = mp.sqrt((1 - a) / 2), mp.sqrt((1 + a) / 2)
+        p = mp.mpc(dark.p)
+        terms = (rm * rb * tb * (p + mp.conj(p)), tm * (tb**2 - rb**2))
+        tau = terms[0] + terms[1]
+        assert abs(tau) <= 4 * eps * (abs(terms[0]) + abs(terms[1])), float(tau)
+        assert abs(abs(mp.mpc(dark.rho2)) - 1) <= 4 * eps
+        rho2 = rm * (tb**2 * p - rb**2 * mp.conj(p)) - 2 * tm * rb * tb
+        assert abs(mp.mpc(dark.rho2) - rho2) <= 4 * eps
+
+
+def lib_point(seed):
+    """A seeded operating point drawn from the ranges of the lib-sweeps
+    benchmark, as ``(run, config)`` with ``run.physical`` holding the power
+    values :class:`_Operating` builds its amplitudes from.  The total
+    detuning is at least 0.2 gamma away from 0, so that one sideband of a
+    0.01-5 gamma sweep meets the recycling resonance, omega = |srm_detuning|."""
+    rng = np.random.default_rng(seed)
+    physical = {
+        "membrane_power_reflectivity": rng.uniform(0.12, 0.3),
+        "sr_power_transmissivity": rng.uniform(1e-4, 6e-4),
+        "bs_asymmetry": rng.uniform(-0.05, 0.05),
+    }
+    geometry = Geometry(0.05, 0.027, 0.01, 1064e-9)
+    base = InterferometerConfig(
+        geometry=geometry,
+        membrane=MirrorParams.from_power_reflectivity(physical["membrane_power_reflectivity"]),
+        srm=MirrorParams.from_power_transmissivity(physical["sr_power_transmissivity"]),
+        bs=BeamsplitterParams(physical["bs_asymmetry"]),
+        input_power=rng.uniform(0.05, 0.4),
+        dark_port_index=int(rng.choice([1, 3, 5])),
+        offset=rng.choice([-1.0, 1.0]) * rng.uniform(0.004, 0.015) * geometry.wavelength,
+    )
+    gamma = cav.effective_cavity(base).half_linewidth
+    detuning = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0) * gamma
+    return SimpleNamespace(physical=physical), cav.with_total_detuning(base, detuning)
+
+
+def lib_kernel_errors(seed):
+    """Worst error of the real and imaginary part of ``kernel_exact`` at a
+    :func:`lib_point`, relative to the part's peak, over 0.01-5 gamma and
+    five frequencies within 1e-3 of the sideband resonance."""
+    run, config = lib_point(seed)
+    gamma = cav.effective_cavity(config).half_linewidth
+    near = abs(config.srm_detuning) * (1.0 + np.array([-1e-3, -1e-7, 0.0, 1e-7, 1e-3]))
+    omega = np.concatenate([np.linspace(0.01, 5.0, 25) * gamma, near])
+    got = ba.kernel_exact(config, omega)
+    with mp.workdps(DIGITS):
+        op = _Operating(run, config)
+        ref = [_kernel(op, config.srm_detuning, w) for w in omega]
+        errors = {}
+        for part in ("real", "imag"):
+            values = [getattr(k, part) for k in ref]
+            peak = max(abs(v) for v in values)
+            worst = max(abs(mp.mpf(float(getattr(g, part))) - v) for g, v in zip(got, values))
+            errors[part] = float(worst / peak)
+    return errors
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_exact_kernel_matches_reference_off_the_presets(seed):
+    errors = lib_kernel_errors(seed)
+    assert max(errors.values()) <= BOUNDS["fig2d"], errors
+
+
+def _run_preset(name, out):
+    """Write a preset's CLI output to ``out``, as its golden was written."""
     argv = [PRESET_SUBCOMMANDS[name], "--config", preset_path(name), "--out", str(out)]
     if name in PRESET_METHODS:
         argv += ["--method", PRESET_METHODS[name]]
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_preset_columns_match_reference(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    _run_preset(name, out)
     errors = column_errors(out, reference_columns(name))
     assert max(errors.values()) <= BOUNDS[name], errors
+
+
+def main():
+    """Print, per preset and column, the error against the reference of the
+    committed golden and of fresh CLI output: the evidence a regenerated
+    golden needs.  Run as ``PYTHONPATH=src python tests/test_oracle.py``."""
+    import tempfile
+
+    golden_dir = Path(__file__).parent / "golden"
+    print(f"{'preset':7}{'column':18}{'golden':>13}{'fresh':>13}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(BOUNDS):
+            reference = reference_columns(name)
+            out = Path(tmp) / f"{name}.csv"
+            _run_preset(name, out)
+            committed = column_errors(golden_dir / f"{name}.csv", reference)
+            fresh = column_errors(out, reference)
+            for column in reference[0]:
+                print(f"{name:7}{column:18}{committed[column]:13.6g}{fresh[column]:13.6g}")
+
+
+if __name__ == "__main__":
+    main()
