@@ -30,8 +30,6 @@ from .cavity import (
 )
 from .noise import NoiseSpectrum, back_action_spectrum, spectral_asymmetry
 from .backaction import (
-    CanonicalFeatureReport,
-    canonical_features_check,
     free_mass_spring_damping,
     kernel_exact,
     kernel_narrowband,

@@ -16,8 +16,6 @@ Three evaluation paths with increasing approximation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import cavity as cav
@@ -268,78 +266,3 @@ def free_mass_spring_damping(
         * (1.0 - (gamma_m / gamma) * (3.0 * gamma**2 - delta**2) / lorentz)
     )
     return spring, damping
-
-
-@dataclass(frozen=True)
-class CanonicalFeatureReport:
-    """Outcome of the canonical-shape checks on a detuning sweep."""
-
-    antisymmetric: bool
-    damping_single_zero: bool
-    damping_positive_below_resonance: bool
-    spring_zero_count: int
-    expected_spring_zero_count: int
-    spring_zeros: np.ndarray
-    damping_zeros: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.antisymmetric
-            and self.damping_single_zero
-            and self.damping_positive_below_resonance
-            and self.spring_zero_count == self.expected_spring_zero_count
-        )
-
-
-def canonical_features_check(
-    detuning: np.ndarray,
-    spring: np.ndarray,
-    damping: np.ndarray,
-    half_linewidth: float,
-    omega: float,
-    antisymmetry_tol: float = 1e-10,
-) -> CanonicalFeatureReport:
-    """Check the canonical on-dark-port shapes of K and Gamma over a detuning
-    sweep: antisymmetry, a single damping zero that cools below resonance,
-    and one spring zero when the line is broader than the analysis frequency
-    versus three when it is narrower.
-
-    The detuning grid must be symmetric about zero.
-    """
-    from .stability import _scan_grid, _sign_change_zeros  # local import, avoids a cycle
-
-    delta = np.asarray(detuning, dtype=float)
-    if not np.allclose(delta, -delta[::-1], rtol=0.0, atol=1e-9 * max(abs(delta[0]), 1.0)):
-        raise ValueError("canonical checks need a detuning grid symmetric about zero")
-
-    def antisym(values):
-        scale = np.max(np.abs(values))
-        return bool(np.max(np.abs(values + values[::-1])) <= antisymmetry_tol * scale)
-
-    grid, xtol = _scan_grid(float(delta[0]), float(delta[-1]), delta.size)
-
-    def zeros_of(values):
-        scan = np.interp(grid, delta, values)
-        return _sign_change_zeros(_grid_interpolant(delta, values), grid, scan, xtol)
-
-    spring_zeros = zeros_of(spring)
-    damping_zeros = zeros_of(damping)
-
-    below = delta < -1e-3 * half_linewidth
-    return CanonicalFeatureReport(
-        antisymmetric=antisym(spring) and antisym(damping),
-        damping_single_zero=damping_zeros.size == 1,
-        damping_positive_below_resonance=bool(np.all(damping[below] > 0.0)),
-        spring_zero_count=int(spring_zeros.size),
-        expected_spring_zero_count=1 if half_linewidth >= omega else 3,
-        spring_zeros=spring_zeros,
-        damping_zeros=damping_zeros,
-    )
-
-
-def _grid_interpolant(x, y):
-    def f(value):
-        return float(np.interp(value, x, y))
-
-    return f

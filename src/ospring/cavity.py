@@ -69,27 +69,12 @@ def dark_port_offset(
     return dark_port_phase(membrane, bs, index) * wavelength / (2.0 * math.pi)
 
 
-def imbalance_length(config: InterferometerConfig) -> float:
-    """Metric arm imbalance delta_l = dark-port imbalance + offset."""
-    return (
-        dark_port_offset(
-            config.membrane, config.bs, config.geometry.wavelength, config.dark_port_index
-        )
-        + config.offset
-    )
-
-
 def imbalance_phase(config: InterferometerConfig) -> float:
     """Exact carrier imbalance phase k0*delta_l of the operating point."""
     return (
         dark_port_phase(config.membrane, config.bs, config.dark_port_index)
         + config.geometry.wavenumber * config.offset
     )
-
-
-def dark_port_carrier(config: InterferometerConfig):
-    """Carrier ``(exp(i*psi_dp), rho2_dp)`` on the dark port; |rho2_dp| = 1 as tau vanishes."""
-    return _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)[:2]
 
 
 class _DarkPort(NamedTuple):
@@ -145,7 +130,8 @@ def roundtrip_phase(config: InterferometerConfig) -> float:
     equal to srm_detuning on the dark port.
     """
     lc = config.geometry.cavity_length
-    return 2.0 * config.srm_detuning * lc / C_LIGHT - cmath.phase(dark_port_carrier(config)[1])
+    rho2_dp = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index).rho2
+    return 2.0 * config.srm_detuning * lc / C_LIGHT - cmath.phase(rho2_dp)
 
 
 def sideband_propagators(config: InterferometerConfig, omega: float, arm_gauge: float = 0.0):
@@ -161,7 +147,7 @@ def sideband_propagators(config: InterferometerConfig, omega: float, arm_gauge: 
     k_side = omega / C_LIGHT
     phi = imbalance_phase(config)
     p_arm = np.diag([np.exp(1j * (k_side * geom.arm_length + arm_gauge))] * 2)
-    dl = imbalance_length(config)
+    dl = _phases(config).delta_l
     p_fold = np.diag(
         [
             np.exp(1j * (-phi / 2.0 + k_side * (geom.half_arm - dl / 2.0))),
@@ -227,7 +213,7 @@ class _Phases(NamedTuple):
     """
 
     dark: _DarkPort
-    delta_l: float  # metric arm imbalance, as imbalance_length
+    delta_l: float  # metric arm imbalance: dark-port imbalance + offset
     e0: complex  # expm1(i*k0*offset)
     e_rt: complex  # expm1(2i*srm_detuning*Lc/c)
 

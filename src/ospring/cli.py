@@ -7,8 +7,11 @@ CSV columns as arrays next to a ``meta`` block with the resolved SI
 parameters, laid out exactly as ``json.dumps(indent=2)`` would write it: one
 array element per line, non-finite floats spelled ``NaN``/``Infinity``/
 ``-Infinity`` as ``json`` spells them.  Both formats are written a column at
-a time.  OSPRING_THREADS is accepted and validated; evaluation is
-single-threaded.
+a time.
+
+``main`` resolves the configuration's operating point and its effective
+cavity once (:meth:`ospring.runconfig.RunConfig.interferometer`) and hands
+both to the subcommand's handler and on to the JSON ``meta`` block.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -168,17 +169,6 @@ def _analysis_frequency(run: RunConfig) -> float:
     return 2.0 * math.pi * freq
 
 
-def _check_threads() -> None:
-    """OSPRING_THREADS is validated but changes nothing: evaluation is serial."""
-    raw = os.environ.get("OSPRING_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"OSPRING_THREADS must be an integer, got {raw!r}") from exc
-
-
 def cmd_darkport(run: RunConfig, config, cavity, args) -> int:
     geom = config.geometry
     offset_dp = cav.dark_port_offset(
@@ -192,7 +182,7 @@ def cmd_darkport(run: RunConfig, config, cavity, args) -> int:
     lines = [
         f"dark_port_offset_m = {_fmt(offset_dp)}",
         f"offset_m = {_fmt(config.offset)}",
-        f"arm_imbalance_m = {_fmt(cav.imbalance_length(config))}",
+        f"arm_imbalance_m = {_fmt(cav._phases(config).delta_l)}",
         f"tau_residual = {_fmt(abs(complex(tau)))}",
     ]
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -253,9 +243,7 @@ def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
             spring, damping = ba.spring_damping(kernel, omega_eval)
         else:
             omega_eval = _analysis_frequency(run)
-            # cav.with_total_detuning's arithmetic, on the cavity already reduced
-            swept = replace(config, srm_detuning=deltas - cavity.membrane_detuning)
-            kernel = ba.kernel_exact(swept, omega_eval)
+            kernel = ba.kernel_exact(cav.with_total_detuning(config, deltas), omega_eval)
             spring, damping = ba.spring_damping(kernel, omega_eval)
 
     header = ["sweep_var", "k_re", "k_im", "spring_n_per_m", "damping_ns_per_m"]
@@ -296,7 +284,6 @@ def cmd_map(run: RunConfig, config, cavity, args) -> int:
     offsets = by_kind["offset"].grid() * config.geometry.wavelength
     omega_eval = 2.0 * math.pi * run.physical.get("mech_freq_hz", 0.0)
 
-    _check_threads()
     grid = st.regime_map(config, deltas, offsets, omega_eval)
     n_d, n_x = deltas.size, offsets.size
     header = ["delta", "xi", "spring", "damping", "regime_label"]
@@ -384,7 +371,7 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
         # the gap against the peak |K| of a +-3 gamma detuning sweep at the same omega:
         # at zero detuning with a fully reflective membrane the narrow-band kernel is 0
         deltas = np.linspace(-3.0, 3.0, 121)[:, None] * gamma
-        swept = replace(config, srm_detuning=deltas - cavity.membrane_detuning)
+        swept = cav.with_total_detuning(config, deltas)
         peak = np.max(np.abs(ba.kernel_exact(swept, omega)), axis=0)
         return np.max(np.abs(exact - approx) / peak) < 0.05
 
@@ -435,8 +422,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = load_config(args.config)
-        config = run.interferometer()
-        return HANDLERS[args.command](run, config, cav.effective_cavity(config), args)
+        config, cavity = run.interferometer()
+        return HANDLERS[args.command](run, config, cavity, args)
     except ParseError as exc:
         print(f"ospring: parse error: {exc}", file=sys.stderr)
         return 1

@@ -136,8 +136,9 @@ class RunConfig:
     sweeps: tuple[SweepSpec, ...] = ()
     output: OutputSpec = field(default_factory=OutputSpec)
 
-    def interferometer(self) -> InterferometerConfig:
-        """Resolved interferometer operating point (detuning in rad/s)."""
+    def interferometer(self) -> tuple[InterferometerConfig, cav.EffectiveCavity]:
+        """Resolved interferometer operating point (detuning in rad/s) and its
+        effective cavity, from one reduction."""
         p = self.physical
         wavelength = p["wavelength_nm"] * 1e-9
         geometry = Geometry(
@@ -155,13 +156,19 @@ class RunConfig:
             dark_port_index=p["dark_port_index"],
             offset=p["offset_xi_lambda0"] * wavelength,
         )
-        # one reduction gives both the linewidth unit of the detuning and the
-        # membrane share that the recycling tuning leaves out
+        # one reduction: it gives the linewidth unit of the detuning, and the
+        # recycling tuning moves only its two detunings
         cavity = cav.effective_cavity(base)
         total = p.get("detuning_rad_s")
         if total is None:
             total = p["detuning_over_gamma"] * cavity.half_linewidth
-        return replace(base, srm_detuning=total - cavity.membrane_detuning)
+        config = cav.with_total_detuning(base, total)
+        srm_detuning = config.srm_detuning
+        return config, replace(
+            cavity,
+            detuning=srm_detuning + cavity.membrane_detuning,
+            srm_detuning=srm_detuning,
+        )
 
     def oscillator(self) -> MechanicalOscillator | None:
         if "mass_kg" not in self.physical:

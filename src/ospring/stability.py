@@ -22,6 +22,7 @@ from .params import InterferometerConfig, MechanicalOscillator, MirrorParams
 
 REGIME_LABELS = ("cooling", "heating", "stable_spring", "unstable_spring", "neutral")
 NEUTRAL_FLOOR = 1e-12
+_REPORT_SCAN = 1024  # scan intervals of stability_report's zero search
 
 
 class DegenerateLeadingCoefficientError(ArithmeticError):
@@ -29,7 +30,8 @@ class DegenerateLeadingCoefficientError(ArithmeticError):
 
 
 def find_zero_crossings(f, lo: float, hi: float, n_scan: int = 512, xtol: float | None = None):
-    """Sign-changing zeros of a scalar function on [lo, hi], sorted.
+    """Sign-changing zeros of a scalar function between ``lo`` and ``hi``
+    (either order), sorted.
 
     Uniform scan followed by bracketed root refinement.  Tangential zeros
     (no sign change) are not claimed.  The default refinement tolerance is
@@ -45,9 +47,11 @@ def find_zero_crossings(f, lo: float, hi: float, n_scan: int = 512, xtol: float 
 
 
 def _scan_grid(lo: float, hi: float, n_scan: int):
-    """Scan grid of :func:`find_zero_crossings` and its default tolerance."""
+    """Ascending scan grid of :func:`find_zero_crossings` over the interval
+    with ends ``lo`` and ``hi`` in either order, and its default tolerance."""
     if n_scan < 64:
         raise ValueError("need at least 64 scan points")
+    lo, hi = sorted((lo, hi))
     return np.linspace(lo, hi, n_scan + 1), 1e-9 * max(abs(lo), abs(hi))
 
 
@@ -256,7 +260,6 @@ def stability_report(
     oscillator: MechanicalOscillator,
     deltas,
     omega_eval: float | None = None,
-    n_scan: int = 1024,
 ) -> StabilityReport:
     """Full detuning-sweep stability analysis at a fixed analysis frequency."""
     deltas = np.asarray(deltas, dtype=float)
@@ -274,8 +277,8 @@ def stability_report(
     # the scan and the window test are broadcasts; the kernel is rational in
     # the detuning, so their samples are the same bits the scalar functions give
     spring, damping = sweep(deltas)
-    lo, hi = float(deltas[0]), float(deltas[-1])
-    grid, xtol = _scan_grid(lo, hi, n_scan)
+    lo, hi = sorted((float(deltas[0]), float(deltas[-1])))  # window boundaries ascend
+    grid, xtol = _scan_grid(lo, hi, _REPORT_SCAN)
     scan_spring, scan_damping = sweep(grid)
     spring_zeros = _sign_change_zeros(spring_of, grid, scan_spring, xtol)
     damping_zeros = _sign_change_zeros(damping_of, grid, scan_damping, xtol)

@@ -144,7 +144,7 @@ def matrix_path_kernel(config, omega, arm_gauge=0.0):
     static = b1 * a1 - b2 * a2
 
     rm, rb, tb = config.membrane.reflectivity, config.bs.reflectivity, config.bs.transmissivity
-    p_dp, _ = cav.dark_port_carrier(config)
+    p_dp = cav._dark_port_carrier(config.membrane, config.bs, config.dark_port_index).p
     tau = 2.0 * rm * rb * tb * (p_dp * cav.expm1i(config.geometry.wavenumber * config.offset)).real
     d0 = cav.resonance_denominator(config, 0.0)
     y = config.srm.reflectivity * np.exp(1j * cav.roundtrip_phase(config)) * tau / d0

@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from ospring import backaction as ba
 from ospring import cavity as cav
+from ospring import stability as st
 from ospring.cavity import EffectiveCavity
 from ospring.params import (
     C_LIGHT,
@@ -267,38 +268,40 @@ def test_dc_limit_reduces_to_free_mass_form(geometry, power_reflectivity):
     assert np.all(fm[0] != 0.0)
 
 
-def test_canonical_features_wide_line(geometry):
+def canonical_features(geometry, omega):
+    """Spring and damping zeros of the canonical narrow-band curves over
+    +-5 gamma, and the damping sampled below resonance."""
     membrane = MirrorParams.from_power_reflectivity(0.17)
-    omega = GAMMA / 2  # line twice the analysis frequency
-    cavity = canonical_cavity()
-    deltas = np.linspace(-5, 5, 1001) * GAMMA
-    kernel = ba.kernel_narrowband(
-        cavity, membrane, POWER, geometry.carrier_omega, geometry.cavity_length, omega,
-        detuning=deltas,
+    args = (canonical_cavity(), membrane, POWER, geometry.carrier_omega, geometry.cavity_length)
+
+    def curves(delta):
+        return ba.spring_damping(ba.kernel_narrowband(*args, omega, detuning=delta), omega)
+
+    spring_zeros, damping_zeros = (
+        st.find_zero_crossings(lambda d: float(curves(d)[which]), -5 * GAMMA, 5 * GAMMA, 1000)
+        for which in (0, 1)
     )
-    spring, damping = ba.spring_damping(kernel, omega)
-    report = ba.canonical_features_check(deltas, spring, damping, GAMMA, omega)
-    assert report.passed
-    assert report.spring_zero_count == 1
-    assert report.damping_single_zero
+    below = np.linspace(-5, -1e-3, 1000) * GAMMA
+    return spring_zeros, damping_zeros, curves(below)[1]
+
+
+def test_canonical_features_wide_line(geometry):
+    # line twice the analysis frequency: one spring zero, on resonance
+    spring_zeros, damping_zeros, damping_below = canonical_features(geometry, GAMMA / 2)
+    assert spring_zeros == pytest.approx([0.0], abs=1e-8 * GAMMA)
+    assert damping_zeros == pytest.approx([0.0], abs=1e-8 * GAMMA)
+    assert np.all(damping_below > 0.0)
 
 
 def test_canonical_features_resolved_sideband(geometry):
-    membrane = MirrorParams.from_power_reflectivity(0.17)
-    omega = 2 * GAMMA  # line half the analysis frequency
-    cavity = canonical_cavity()
-    deltas = np.linspace(-5, 5, 1001) * GAMMA
-    kernel = ba.kernel_narrowband(
-        cavity, membrane, POWER, geometry.carrier_omega, geometry.cavity_length, omega,
-        detuning=deltas,
-    )
-    spring, damping = ba.spring_damping(kernel, omega)
-    report = ba.canonical_features_check(deltas, spring, damping, GAMMA, omega)
-    assert report.passed
-    assert report.spring_zero_count == 3
-    # the outer crossings sit at +-sqrt(omega^2 - gamma^2)
+    # line half the analysis frequency: the outer spring crossings sit at
+    # +-sqrt(omega^2 - gamma^2)
+    omega = 2 * GAMMA
+    spring_zeros, damping_zeros, damping_below = canonical_features(geometry, omega)
     outer = math.sqrt(omega**2 - GAMMA**2)
-    assert report.spring_zeros == pytest.approx([-outer, 0.0, outer], abs=1e-3 * GAMMA)
+    assert spring_zeros == pytest.approx([-outer, 0.0, outer], abs=1e-8 * GAMMA)
+    assert damping_zeros == pytest.approx([0.0], abs=1e-8 * GAMMA)
+    assert np.all(damping_below > 0.0)
 
 
 def test_canonical_antisymmetry_tolerance(geometry):
@@ -323,12 +326,6 @@ def test_responses_extract_spring_and_damping(narrow_config):
         assert np.array_equal(spring, kernel.real)
         assert np.array_equal(damping, -kernel.imag / (2 * omega))
         assert np.all(np.isfinite(kernel))
-
-
-def test_canonical_check_requires_symmetric_grid(geometry):
-    deltas = np.linspace(-1, 2, 100) * GAMMA
-    with pytest.raises(ValueError):
-        ba.canonical_features_check(deltas, deltas, deltas, GAMMA, GAMMA)
 
 
 def test_exact_kernel_broadcasts_over_operating_point_and_frequency(narrow_config):

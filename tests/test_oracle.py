@@ -227,8 +227,7 @@ def cavity_errors(name):
     whose true value is 0 is measured relative to the half-linewidth.
     """
     run = load_config(preset_path(name))
-    config = run.interferometer()
-    cavity = cav.effective_cavity(config)
+    config, cavity = run.interferometer()
     with mp.workdps(DIGITS):
         reference = _cavity(_Operating(run, config), config.srm_detuning)
         scales = {field: abs(value) for field, value in reference.items()}
@@ -307,9 +306,9 @@ def reference_columns(name):
     after normalisation; the spectrum shares the peak of s_f).
     """
     run = load_config(preset_path(name))
-    config = run.interferometer()
+    config, cavity = run.interferometer()
     sweep = run.sweeps[0]
-    gamma = cav.effective_cavity(config).half_linewidth
+    gamma = cavity.half_linewidth
     grid = sweep.grid()
     with mp.workdps(DIGITS):
         op = _Operating(run, config)

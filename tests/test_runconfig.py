@@ -1,11 +1,13 @@
 import math
 import textwrap
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from ospring import cavity as cav
 from ospring import runconfig as rc
-from ospring.presets import preset_path
+from ospring.presets import PRESET_NAMES, preset_path
 
 MINIMAL = """
 [physical]
@@ -30,7 +32,7 @@ def write(tmp_path, text, name="run.cfg"):
 
 def test_reference_preset_resolves_to_si_values():
     run = rc.load_config(preset_path("fig2c"))
-    config = run.interferometer()
+    config, cavity = run.interferometer()
     geom = config.geometry
     assert config.input_power == pytest.approx(0.2)
     assert geom.wavelength == pytest.approx(1064e-9)
@@ -39,7 +41,7 @@ def test_reference_preset_resolves_to_si_values():
     assert config.srm.transmissivity**2 == pytest.approx(3e-4)
     assert config.dark_port_index == 3
     assert config.offset == pytest.approx(0.01 * 1064e-9)
-    assert cav.effective_cavity(config).detuning == pytest.approx(0.0, abs=1e-9)
+    assert cavity.detuning == pytest.approx(0.0, abs=1e-9)
     oscillator = run.oscillator()
     assert oscillator is not None
     assert oscillator.resonance_frequency == pytest.approx(2 * math.pi * 133e3)
@@ -50,7 +52,7 @@ def test_minimal_config_loads(tmp_path):
     assert run.sweeps == ()
     assert run.output.fmt == "csv" and run.output.path is None
     assert run.oscillator() is None
-    config = run.interferometer()
+    config, _ = run.interferometer()
     assert config.bs.asymmetry == 0.0  # default
 
 
@@ -144,9 +146,18 @@ def test_key_outside_section_is_parse_error(tmp_path):
 def test_detuning_in_linewidth_units(tmp_path):
     text = MINIMAL.replace("detuning_over_gamma = 0.0", "detuning_over_gamma = -1.5")
     run = rc.load_config(write(tmp_path, text))
-    config = run.interferometer()
-    cavity = cav.effective_cavity(config)
+    _, cavity = run.interferometer()
     assert cavity.detuning == pytest.approx(-1.5 * cavity.half_linewidth, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_interferometer_cavity_is_the_reduction_of_its_config(name):
+    # the base reduction with its two detunings retuned has every bit of a
+    # second reduction of the resolved configuration
+    config, cavity = rc.load_config(preset_path(name)).interferometer()
+    assert config.srm_detuning == cavity.srm_detuning
+    reduced = cav.effective_cavity(config)
+    assert np.array(astuple(cavity)).tobytes() == np.array(astuple(reduced)).tobytes()
 
 
 def test_require_helper(tmp_path):

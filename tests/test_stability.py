@@ -11,12 +11,16 @@ from ospring import cavity as cav
 from ospring import stability as st
 from ospring.cavity import EffectiveCavity
 from ospring.params import MechanicalOscillator, MirrorParams
+from ospring.presets import preset_path
+from ospring.runconfig import load_config
 
 from conftest import WAVELENGTH
 
 GAMMA = 2 * math.pi * 133e3
 POWER = 0.2
 MIRROR = MirrorParams.from_power_reflectivity(1.0)
+# an interval's ends in either order scan and refine the same
+SIGNS = (1.0, -1.0)
 
 
 def free_mass_curves(geometry, gamma_m_over_gamma, detuning):
@@ -32,30 +36,33 @@ def test_zero_crossings_canonical_damping(geometry):
     def damping(delta):
         return float(free_mass_curves(geometry, 0.0, delta)[1])
 
-    zeros = st.find_zero_crossings(damping, -5 * GAMMA, 5 * GAMMA, 512)
-    assert zeros.size == 1
-    assert abs(zeros[0]) < 1e-6 * GAMMA
+    for sign in SIGNS:
+        zeros = st.find_zero_crossings(damping, -5 * sign * GAMMA, 5 * sign * GAMMA, 512)
+        assert zeros.size == 1
+        assert abs(zeros[0]) < 1e-6 * GAMMA
 
 
 def test_zero_crossings_free_mass_spring(geometry):
     def spring(delta):
         return float(free_mass_curves(geometry, 0.5, delta)[0])
 
-    zeros = st.find_zero_crossings(spring, -5 * GAMMA, 5 * GAMMA, 2048)
-    assert zeros == pytest.approx([-GAMMA, 0.0, GAMMA], abs=1e-6 * GAMMA)
-    # residual smallness at the refined zeros
     scale = max(abs(spring(d)) for d in np.linspace(-5 * GAMMA, 5 * GAMMA, 64))
-    for zero in zeros:
-        assert abs(spring(zero)) < 1e-9 * scale
+    for sign in SIGNS:
+        zeros = st.find_zero_crossings(spring, -5 * sign * GAMMA, 5 * sign * GAMMA, 2048)
+        assert zeros == pytest.approx([-GAMMA, 0.0, GAMMA], abs=1e-6 * GAMMA)
+        # residual smallness at the refined zeros
+        for zero in zeros:
+            assert abs(spring(zero)) < 1e-9 * scale
 
 
 def test_zero_crossings_free_mass_damping(geometry):
     def damping(delta):
         return float(free_mass_curves(geometry, 0.5, delta)[1])
 
-    zeros = st.find_zero_crossings(damping, -5 * GAMMA, 5 * GAMMA, 2048)
     expected = GAMMA / math.sqrt(3.0)
-    assert zeros == pytest.approx([-expected, 0.0, expected], abs=1e-6 * GAMMA)
+    for sign in SIGNS:
+        zeros = st.find_zero_crossings(damping, -5 * sign * GAMMA, 5 * sign * GAMMA, 2048)
+        assert zeros == pytest.approx([-expected, 0.0, expected], abs=1e-6 * GAMMA)
 
 
 def test_zero_crossings_edge_cases():
@@ -65,6 +72,10 @@ def test_zero_crossings_edge_cases():
     # node-exact zero counted once
     zeros = st.find_zero_crossings(lambda x: x, -1.0, 1.0, 64)
     assert zeros.size == 1 and abs(zeros[0]) < 1e-12
+    # an off-node zero is refined whichever end comes first
+    for sign in SIGNS:
+        zeros = st.find_zero_crossings(lambda x: x - 0.3, -sign, sign, 64)
+        assert zeros.size == 1 and abs(zeros[0] - 0.3) <= 1e-9
     with pytest.raises(ValueError):
         st.find_zero_crossings(lambda x: x, -1.0, 1.0, 32)
     with pytest.raises(ValueError):
@@ -83,8 +94,9 @@ def test_zero_crossings_reject_non_positive_xtol(xtol):
     scale=hst.floats(1e-3, 1e7),
     amplitude=hst.sampled_from([-1e-20, -2.5, 1.0, 3e8]),
     rel_xtol=hst.sampled_from([None, 1e-13, 1e-11, 1e-6]),
+    sign=hst.sampled_from(SIGNS),
 )
-def test_zero_crossings_find_every_simple_root(roots, scale, amplitude, rel_xtol):
+def test_zero_crossings_find_every_simple_root(roots, scale, amplitude, rel_xtol, sign):
     roots = np.sort(roots)
     # well separated: every scan interval (2/512 wide) holds at most one root
     assume(np.all(np.diff(roots) > 0.02))
@@ -94,7 +106,7 @@ def test_zero_crossings_find_every_simple_root(roots, scale, amplitude, rel_xtol
         return amplitude * math.prod(x - r for r in roots)
 
     xtol = None if rel_xtol is None else rel_xtol * scale
-    zeros = st.find_zero_crossings(product, -scale, scale, 512, xtol=xtol)
+    zeros = st.find_zero_crossings(product, -sign * scale, sign * scale, 512, xtol=xtol)
     assert zeros.size == roots.size
     bound = 1e-9 * scale if xtol is None else xtol
     assert np.all(np.abs(zeros - roots) <= bound)
@@ -124,6 +136,25 @@ def test_stability_report_zeros_match_public_scan(narrow_config):
             )
             assert zeros.size > 0
             assert np.array_equal(zeros, public)
+
+
+def test_stability_report_reversed_sweep_same_zeros_and_windows():
+    run = load_config(preset_path("fig2c"))
+    config, cavity = run.interferometer()
+    gamma = cavity.half_linewidth
+    oscillator = run.oscillator()
+    deltas = run.sweeps[0].grid() * gamma
+    forward, backward = (
+        st.stability_report(config, oscillator, d, oscillator.resonance_frequency)
+        for d in (deltas, deltas[::-1])
+    )
+    assert forward.spring_zeros / gamma == pytest.approx([-1.60749, 0.79563], abs=1e-5)
+    assert len(forward.stable_windows) == 1
+    for name in ("spring_zeros", "damping_zeros", "stable_windows"):
+        assert (np.array(getattr(forward, name)).tobytes()
+                == np.array(getattr(backward, name)).tobytes()), name
+    for name in ("spring", "damping", "labels", "rh_verdicts"):
+        assert np.array_equal(getattr(forward, name), getattr(backward, name)[::-1]), name
 
 
 def test_zero_crossings_grid_refinement_stable(geometry):
