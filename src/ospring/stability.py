@@ -22,7 +22,6 @@ from .params import InterferometerConfig, MechanicalOscillator, MirrorParams
 
 REGIME_LABELS = ("cooling", "heating", "stable_spring", "unstable_spring", "neutral")
 NEUTRAL_FLOOR = 1e-12
-_REPORT_SCAN = 1024  # scan intervals of stability_report's zero search
 
 
 class DegenerateLeadingCoefficientError(ArithmeticError):
@@ -31,50 +30,33 @@ class DegenerateLeadingCoefficientError(ArithmeticError):
 
 def find_zero_crossings(f, lo: float, hi: float, n_scan: int = 512, xtol: float | None = None):
     """Sign-changing zeros of a scalar function between ``lo`` and ``hi``
-    (either order), sorted.
+    (either order), sorted: the scan for functions without a polynomial form.
 
-    Uniform scan followed by bracketed root refinement.  Tangential zeros
-    (no sign change) are not claimed.  The default refinement tolerance is
-    1e-9 of the interval's outer scale.
+    Each sign change on a uniform grid of ``n_scan`` intervals is refined by
+    :func:`_refine_root`, by default to 1e-9 of the interval's outer scale; a
+    run of exact zeros on the grid counts once, at its first node.  Zeros
+    closer together than the grid step can be missed, and tangential zeros
+    (no sign change) are not claimed.  :func:`stability_report` takes its
+    zeros from polynomial roots instead.
     """
-    grid, default_xtol = _scan_grid(lo, hi, n_scan)
-    if xtol is None:
-        xtol = default_xtol
-    elif not xtol > 0.0:
-        raise ValueError(f"xtol must be positive, got {xtol!r}")
-    values = np.array([f(x) for x in grid], dtype=float)
-    return _sign_change_zeros(f, grid, values, xtol)
-
-
-def _scan_grid(lo: float, hi: float, n_scan: int):
-    """Ascending scan grid of :func:`find_zero_crossings` over the interval
-    with ends ``lo`` and ``hi`` in either order, and its default tolerance."""
     if n_scan < 64:
         raise ValueError("need at least 64 scan points")
     lo, hi = sorted((lo, hi))
-    return np.linspace(lo, hi, n_scan + 1), 1e-9 * max(abs(lo), abs(hi))
-
-
-def _sign_change_zeros(f, grid, values, xtol: float):
-    """Zeros of the scalar ``f`` where its samples ``values`` on ``grid``
-    change sign, each refined to within ``xtol``; sorted."""
+    if xtol is None:
+        xtol = 1e-9 * max(abs(lo), abs(hi))
+    elif not xtol > 0.0:
+        raise ValueError(f"xtol must be positive, got {xtol!r}")
+    grid = np.linspace(lo, hi, n_scan + 1)
+    values = np.array([f(x) for x in grid], dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("function must be finite on the scan range")
-
-    signs = np.sign(values)
-    zeros = []
-    # exact zeros sitting on scan nodes count once, and only when the sign
-    # flips through them (first node of a zero stretch carries the credit)
-    for idx in np.flatnonzero(values == 0.0):
-        if idx > 0 and values[idx - 1] == 0.0:
-            continue
-        before = signs[:idx][signs[:idx] != 0.0]
-        after = signs[idx + 1 :][signs[idx + 1 :] != 0.0]
-        if before.size and after.size and before[-1] * after[0] < 0.0:
-            zeros.append(grid[idx])
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0.0):
-        zeros.append(_refine_root(f, grid[i], grid[i + 1], values[i], values[i + 1], xtol))
-    return np.array(sorted(zeros))
+    live = np.flatnonzero(values)
+    before, after = live[:-1], live[1:]
+    flips = np.sign(values[before]) * np.sign(values[after]) < 0.0
+    return np.array([
+        grid[i + 1] if j > i + 1 else _refine_root(f, grid[i], grid[j], values[i], values[j], xtol)
+        for i, j in zip(before[flips], after[flips])
+    ])
 
 
 def _refine_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
@@ -210,12 +192,15 @@ def roots_stable(coeffs):
     return np.all(roots.real < 0.0, axis=-1) & (c[..., -1] != 0.0)
 
 
-def classify_regimes(spring, damping, spring_floor: float, damping_floor: float):
-    """Sign-based regime labels with a neutral band around either zero."""
+def classify_regimes(spring, damping):
+    """Sign-based regime labels with a neutral band around either zero, of
+    ``NEUTRAL_FLOOR`` times the curve's largest magnitude."""
     spring = np.asarray(spring, dtype=float)
     damping = np.asarray(damping, dtype=float)
     labels = np.full(spring.shape, "neutral", dtype="U15")
-    live = (np.abs(spring) >= spring_floor) & (np.abs(damping) >= damping_floor)
+    live = (np.abs(spring) >= NEUTRAL_FLOOR * np.max(np.abs(spring))) & (
+        np.abs(damping) >= NEUTRAL_FLOOR * np.max(np.abs(damping))
+    )
     labels[live & (damping > 0) & (spring > 0)] = "stable_spring"
     labels[live & (damping > 0) & (spring < 0)] = "cooling"
     labels[live & (damping < 0) & (spring > 0)] = "unstable_spring"
@@ -237,6 +222,32 @@ def _spring_damping_sweep(
         return ba.spring_damping_dc(cavity, *args, detuning=deltas)
     kernel = ba.kernel_narrowband(cavity, *args, omega_eval, detuning=deltas)
     return ba.spring_damping(kernel, omega_eval)
+
+
+def _numerator_roots(cavity: EffectiveCavity, omega_eval: float | None, lo: float, hi: float):
+    """Real parts in (lo, hi), ascending and distinct, of the roots of the
+    narrow-band spring and damping numerators in the total detuning.
+
+    In x = delta/gamma, with the terms of ``backaction._narrowband_terms`` in
+    units of gamma, the kernel at w = omega_eval/gamma is (A + 2iw*cross) /
+    (C - 2iw) over lorentz, A = delta_sr*reduced + delta_m*w^2 and C =
+    lorentz - w^2.  The spring numerator A*C - 4w^2*cross is a quintic, or
+    at w = 0 the cubic A; the damping one, A + cross*C, is a cubic.
+    """
+    gamma = cavity.half_linewidth
+    g, m = cavity.membrane_half_linewidth / gamma, cavity.membrane_detuning / gamma
+    w_sq = (omega_eval / gamma) ** 2 if omega_eval else 0.0
+    lorentz = np.array([1.0, 0.0, 1.0])  # coefficients highest power first
+    delta_sr = np.array([1.0, -m])
+    cross = np.polyadd(g * delta_sr, [cavity.srm_half_linewidth / gamma * m])
+    reduced = np.polyadd(lorentz, [-4.0 * m, -4.0 * g])
+    a = np.polyadd(np.convolve(delta_sr, reduced), [m * w_sq])
+    c = np.polysub(lorentz, [w_sq])
+    spring = np.polysub(np.convolve(a, c), 4.0 * w_sq * cross) if w_sq else a
+    damping = np.polyadd(a, np.convolve(cross, c))
+    roots = [np.roots(n).real * gamma for n in (spring, damping)]
+    # distinct: a complex pair gives one node; + 0.0: a root at 0 reads 0, not -0
+    return [np.array(sorted(set(x[(lo < x) & (x < hi)] + 0.0))) for x in roots]
 
 
 @dataclass(frozen=True)
@@ -261,44 +272,37 @@ def stability_report(
     deltas,
     omega_eval: float | None = None,
 ) -> StabilityReport:
-    """Full detuning-sweep stability analysis at a fixed analysis frequency."""
+    """Full detuning-sweep stability analysis at a fixed analysis frequency.
+
+    A zero is a root of a narrow-band numerator (the denominators are
+    positive) across which the curve's sign flips, so a tangential zero is
+    not claimed.  A stable-spring window is a run where both are positive.
+    """
     deltas = np.asarray(deltas, dtype=float)
     cavity = cav.effective_cavity(config)
+    if not cavity.half_linewidth > 0.0:  # lorentz = gamma^2 + delta^2 vanishes on resonance
+        raise ValueError("the narrow-band laws need a positive half-linewidth")
+    spring, damping = _spring_damping_sweep(config, cavity, deltas, omega_eval)
 
-    def sweep(d):
-        return _spring_damping_sweep(config, cavity, d, omega_eval)
-
-    def spring_of(d):
-        return float(sweep(d)[0])
-
-    def damping_of(d):
-        return float(sweep(d)[1])
-
-    # the scan and the window test are broadcasts; the kernel is rational in
-    # the detuning, so their samples are the same bits the scalar functions give
-    spring, damping = sweep(deltas)
     lo, hi = sorted((float(deltas[0]), float(deltas[-1])))  # window boundaries ascend
-    grid, xtol = _scan_grid(lo, hi, _REPORT_SCAN)
-    scan_spring, scan_damping = sweep(grid)
-    spring_zeros = _sign_change_zeros(spring_of, grid, scan_spring, xtol)
-    damping_zeros = _sign_change_zeros(damping_of, grid, scan_damping, xtol)
-
-    boundaries = np.concatenate(([lo], np.sort(np.concatenate([spring_zeros, damping_zeros])), [hi]))
-    starts, ends = boundaries[:-1], boundaries[1:]
-    mid_spring, mid_damping = sweep(0.5 * (starts + ends))
-    stable = (ends - starts > 0.0) & (mid_spring > 0.0) & (mid_damping > 0.0)
-    windows = [(float(a), float(b)) for a, b in zip(starts[stable], ends[stable])]
+    nodes = _numerator_roots(cavity, omega_eval, lo, hi)
+    # a curve's flips use its signs between its own roots, so copies of a shared
+    # root that round apart leave no 0 beside either; windows use all the roots
+    edges = [np.concatenate(([lo], n, [hi])) for n in nodes]
+    edges.append(np.array(sorted(set(np.concatenate(edges)))))  # np.unique imports numpy.ma
+    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
+    signs = np.sign(_spring_damping_sweep(config, cavity, np.concatenate(mids), omega_eval))
+    spring_own, damping_own, both = np.split(signs, np.cumsum([m.size for m in mids])[:2], axis=-1)
+    spring_zeros = nodes[0][spring_own[0, :-1] * spring_own[0, 1:] < 0.0]
+    damping_zeros = nodes[1][damping_own[1, :-1] * damping_own[1, 1:] < 0.0]
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], np.all(both > 0.0, axis=0), [False]))))
+    windows = [(float(edges[2][i]), float(edges[2][j])) for i, j in zip(runs[0::2], runs[1::2])]
 
     coeffs = characteristic_polynomial(cavity, oscillator, *ba._gain_inputs(config), deltas)
     rh = routh_hurwitz_stable(coeffs)
     direct = roots_stable(coeffs)
 
-    labels = classify_regimes(
-        spring,
-        damping,
-        NEUTRAL_FLOOR * np.max(np.abs(spring)),
-        NEUTRAL_FLOOR * np.max(np.abs(damping)),
-    )
+    labels = classify_regimes(spring, damping)
     return StabilityReport(
         deltas, spring, damping, spring_zeros, damping_zeros, windows, rh, direct, labels
     )
@@ -330,10 +334,5 @@ def regime_map(
 
     grid = replace(config, offset=offsets.reshape(-1, 1))
     spring, damping = _spring_damping_sweep(grid, cav.effective_cavity(grid), deltas, omega_eval)
-    labels = classify_regimes(
-        spring,
-        damping,
-        NEUTRAL_FLOOR * np.max(np.abs(spring)),
-        NEUTRAL_FLOOR * np.max(np.abs(damping)),
-    )
+    labels = classify_regimes(spring, damping)
     return RegimeMap(deltas, offsets, spring, damping, labels)

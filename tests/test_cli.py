@@ -411,6 +411,19 @@ def test_oversized_sweep_is_validation_exit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_linewidth_stability_is_validation_exit(tmp_path, capsys):
+    # a lossless recycling mirror with the membrane on its node: gamma = 0
+    text = Path(preset_path("fig2c")).read_text()
+    text = text.replace("sr_power_transmissivity = 3e-4", "sr_power_transmissivity = 0")
+    cfg = write_cfg(tmp_path, text.replace("offset_xi_lambda0 = 0.01", "offset_xi_lambda0 = 0"))
+    out = tmp_path / "out.csv"
+    assert run_cli("stability", "--config", cfg, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "ospring: the narrow-band laws need a positive half-linewidth\n"
+    )
+    assert not out.exists()
+
+
 # The row-wise emitter that the column-wise one replaced, kept verbatim as
 # the byte contract of the CSV, JSON and scalar outputs.
 def _reference_fmt(value) -> str:

@@ -112,30 +112,161 @@ def test_zero_crossings_find_every_simple_root(roots, scale, amplitude, rel_xtol
     assert np.all(np.abs(zeros - roots) <= bound)
 
 
-def test_stability_report_zeros_match_public_scan(narrow_config):
-    cavity = cav.effective_cavity(narrow_config)
+def _oracle_zeros(cavity, omega, lo, hi):
+    """50-digit sign-changing zeros in (lo, hi) of the narrow-band spring and
+    damping: each law times its positive denominator is a polynomial in the
+    detuning, interpolated from degree + 1 samples and solved by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        gamma, gamma_sr, gamma_m, delta_m = (mpmath.mpf(v) for v in (
+            cavity.half_linewidth, cavity.srm_half_linewidth,
+            cavity.membrane_half_linewidth, cavity.membrane_detuning,
+        ))
+
+        def numerators(x):
+            delta = x * gamma
+            delta_sr = delta - delta_m
+            lorentz = gamma**2 + delta**2
+            reduced = lorentz - 4 * (gamma * gamma_m + delta * delta_m)
+            cross = gamma_sr * delta_m + gamma_m * delta_sr
+            if omega is None:
+                spring = delta_sr * reduced / lorentz**2
+                damping = -(gamma * delta_sr * reduced / lorentz + cross) / lorentz**2
+                return spring * lorentz**2, damping * lorentz**3
+            w = mpmath.mpf(omega)
+            den = (lorentz - w * w) - 2j * gamma * w
+            kernel = (delta_sr * reduced + 2j * cross * w + delta_m * w * w) / (lorentz * den)
+            scale = lorentz * abs(den) ** 2
+            return kernel.real * scale, -kernel.imag / (2 * w) * scale
+
+        zeros = []
+        for which, degree in enumerate((3, 3) if omega is None else (5, 3)):
+            xs = [mpmath.mpf(k) / degree * 6 - 3 for k in range(degree + 1)]
+            vandermonde = mpmath.matrix([[x**j for j in range(degree + 1)] for x in xs])
+            coeffs = mpmath.lu_solve(vandermonde, mpmath.matrix([numerators(x)[which] for x in xs]))
+            roots = mpmath.polyroots(list(coeffs)[::-1], maxsteps=200, extraprec=200)
+            real = sorted(float(mpmath.re(r) * gamma) for r in roots if abs(mpmath.im(r)) < 1e-30)
+            zeros.append([z for z in real if lo < z < hi])
+        return zeros
+
+
+@pytest.mark.parametrize("name", ["fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d"])
+@pytest.mark.parametrize("finite_omega", [False, True])
+def test_stability_report_zeros_match_50_digit_roots(name, finite_omega):
+    run = load_config(preset_path(name))
+    config, cavity = run.interferometer()
     gamma = cavity.half_linewidth
+    # the fig3 presets are free masses without an oscillator: give them fig2's
+    oscillator = run.oscillator() or MechanicalOscillator(
+        8e-11, 2 * math.pi * 133e3, 2 * math.pi * 0.1
+    )
+    omega = oscillator.resonance_frequency if finite_omega else None
+    deltas = run.sweeps[0].grid() * gamma
+    report = st.stability_report(config, oscillator, deltas, omega)
+    expected = _oracle_zeros(cavity, omega, deltas[0], deltas[-1])
+    for zeros, reference in zip((report.spring_zeros, report.damping_zeros), expected):
+        assert zeros.size == len(reference) > 0
+        bound = 1e-12 * np.maximum(np.abs(reference), gamma)
+        assert np.all(np.abs(zeros - reference) <= bound)
+
+
+def test_stability_report_sweeps_twice(narrow_config, monkeypatch):
+    calls = []
+    sweep = st._spring_damping_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(st, "_spring_damping_sweep", counted)
+    gamma = cav.effective_cavity(narrow_config).half_linewidth
     oscillator = MechanicalOscillator(8e-11, 2 * math.pi * 133e3, 2 * math.pi * 0.1)
     deltas = np.linspace(-3 * gamma, 3 * gamma, 241)
-    args = (
-        narrow_config.membrane,
-        narrow_config.input_power,
-        narrow_config.geometry.carrier_omega,
-        narrow_config.geometry.cavity_length,
-    )
     for omega in (None, oscillator.resonance_frequency):
-        def curves(d):
-            if omega is None:
-                return ba.spring_damping_dc(cavity, *args, detuning=d)
-            return ba.spring_damping(ba.kernel_narrowband(cavity, *args, omega, detuning=d), omega)
-
+        calls.clear()
         report = st.stability_report(narrow_config, oscillator, deltas, omega)
-        for which, zeros in enumerate((report.spring_zeros, report.damping_zeros)):
-            public = st.find_zero_crossings(
-                lambda d: float(curves(d)[which]), deltas[0], deltas[-1], 1024
-            )
-            assert zeros.size > 0
-            assert np.array_equal(zeros, public)
+        assert report.spring_zeros.size and report.damping_zeros.size
+        assert len(calls) == 2
+
+
+def ratio_config(narrow_config, gamma_m_over_gamma):
+    """Fully reflective membrane on dark port 1 at the offset that gives the
+    dissipative half-linewidth this share of the total."""
+    config = replace(
+        narrow_config, membrane=MirrorParams.from_power_reflectivity(1.0), dark_port_index=1
+    )
+    q = gamma_m_over_gamma
+    ratio = config.srm.transmissivity / config.membrane.reflectivity * math.sqrt(q / (1.0 - q))
+    return replace(config, offset=math.asin(ratio) / config.geometry.wavenumber)
+
+
+@pytest.mark.parametrize(
+    "ratio", [0.2500001, 0.250001, 0.3, 1.0 / 3.0 + 1e-7, 0.34, 0.5, 0.75]
+)
+def test_stability_report_free_mass_closed_forms(narrow_config, ratio):
+    # zeros closer together than 6*gamma/1024, the step of a 1024-interval
+    # scan over +-3*gamma, are found as well as wide ones
+    config = ratio_config(narrow_config, ratio)
+    cavity = cav.effective_cavity(config)
+    gamma, gamma_m = cavity.half_linewidth, cavity.membrane_half_linewidth
+    assert cavity.membrane_detuning == 0.0
+    assert gamma_m / gamma == pytest.approx(ratio, rel=1e-12)
+    oscillator = MechanicalOscillator(1e-7, 0.0, 1e-6 * gamma)
+    deltas = np.linspace(-3 * gamma, 3 * gamma, 241)
+    report = st.stability_report(config, oscillator, deltas)
+
+    spring_edge = math.sqrt(gamma * (4.0 * gamma_m - gamma))
+    damping_edge = (
+        gamma * math.sqrt((3.0 * gamma_m - gamma) / (gamma + gamma_m))
+        if 3.0 * gamma_m > gamma else 0.0
+    )
+    bound = 1e-12 * gamma
+    expected_damping = [-damping_edge, 0.0, damping_edge] if damping_edge else [0.0]
+    assert report.spring_zeros == pytest.approx([-spring_edge, 0.0, spring_edge], abs=bound)
+    assert report.damping_zeros == pytest.approx(expected_damping, abs=bound)
+    assert len(report.stable_windows) == 1
+    assert report.stable_windows[0] == pytest.approx((-spring_edge, -damping_edge), abs=bound)
+
+
+def test_stability_report_finds_close_spring_zeros(narrow_config):
+    # gamma_m/gamma = 0.250001: the spring vanishes at 0 and +-0.002*gamma,
+    # and the spring is stable between -0.002*gamma and resonance
+    config = ratio_config(narrow_config, 0.250001)
+    gamma = cav.effective_cavity(config).half_linewidth
+    oscillator = MechanicalOscillator(1e-7, 0.0, 1e-6 * gamma)
+    report = st.stability_report(config, oscillator, np.linspace(-3 * gamma, 3 * gamma, 241))
+    assert report.spring_zeros / gamma == pytest.approx([-0.002, 0.0, 0.002], rel=1e-6, abs=1e-15)
+    assert report.damping_zeros.tolist() == [0.0]
+    assert len(report.stable_windows) == 1
+    low, high = report.stable_windows[0]
+    assert low / gamma == pytest.approx(-0.002, rel=1e-6)
+    assert high == 0.0
+
+
+def test_stability_report_shared_root_leaves_no_sliver_window(narrow_config):
+    # without recycling loss both quasi-static numerators carry the factor
+    # delta - delta_m: the spring is positive only above that root and the
+    # damping only below it, so no window may open between the two copies
+    config = replace(narrow_config, srm=MirrorParams.from_power_transmissivity(0.0))
+    cavity = cav.effective_cavity(config)
+    gamma = cavity.half_linewidth
+    oscillator = MechanicalOscillator(8e-11, 2 * math.pi * 133e3, 2 * math.pi * 0.1)
+    report = st.stability_report(config, oscillator, np.linspace(-3 * gamma, 3 * gamma, 241))
+    assert report.spring_zeros[0] == pytest.approx(cavity.membrane_detuning, rel=1e-12)
+    assert report.damping_zeros[0] == pytest.approx(cavity.membrane_detuning, rel=1e-12)
+    assert report.stable_windows == []
+
+
+def test_stability_report_rejects_zero_linewidth(narrow_config):
+    # a lossless recycling mirror on the membrane's node: gamma = 0, and the
+    # narrow-band laws divide by delta^2
+    config = replace(
+        narrow_config, srm=MirrorParams.from_power_transmissivity(0.0), offset=0.0
+    )
+    assert cav.effective_cavity(config).half_linewidth == 0.0
+    oscillator = MechanicalOscillator(8e-11, 2 * math.pi * 133e3, 2 * math.pi * 0.1)
+    with pytest.raises(ValueError, match="half-linewidth"):
+        st.stability_report(config, oscillator, np.linspace(-1e6, 1e6, 241))
 
 
 def test_stability_report_reversed_sweep_same_zeros_and_windows():
@@ -346,8 +477,8 @@ def test_stability_report_windows_and_verdicts(geometry, narrow_config):
     assert np.array_equal(report.rh_verdicts, report.root_verdicts)
     assert len(report.stable_windows) == 1
     low, high = report.stable_windows[0]
-    assert low == pytest.approx(-gamma, rel=1e-4)
-    assert high == pytest.approx(-gamma / math.sqrt(3.0), rel=1e-4)
+    assert low == pytest.approx(-gamma, rel=1e-12)
+    assert high == pytest.approx(-gamma / math.sqrt(3.0), rel=1e-12)
     # every stable-spring label passes the polynomial test, heating fails it
     for i, label in enumerate(report.labels):
         if label == "stable_spring":
@@ -424,7 +555,7 @@ def test_regime_map_preset_ratio_rows(narrow_config):
     assert has_stable == [False, True, True, True]
 
 
-def test_regime_map_deterministic_across_workers(narrow_config):
+def test_finite_frequency_regime_map_rows_match_single_offset_sweeps(narrow_config):
     gamma = cav.effective_cavity(narrow_config).half_linewidth
     deltas = np.linspace(-2 * gamma, 2 * gamma, 41)
     offsets = np.linspace(0.0, 0.02, 7) * WAVELENGTH
@@ -456,5 +587,5 @@ def test_quasi_static_regime_map_rows_match_single_offset_sweeps(narrow_config):
 def test_classify_regimes_neutral_floor():
     spring = np.array([1.0, -1.0, 1e-15, 1.0])
     damping = np.array([1.0, 1.0, 1.0, -1e-15])
-    labels = st.classify_regimes(spring, damping, 1e-12, 1e-12)
+    labels = st.classify_regimes(spring, damping)
     assert list(labels) == ["stable_spring", "cooling", "neutral", "neutral"]
