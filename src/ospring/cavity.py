@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -414,10 +414,14 @@ def with_total_detuning(config: InterferometerConfig, detuning) -> Interferomete
     The membrane contribution is fixed by the offset, so the recycling
     tuning absorbs the difference in a single pass.  An array ``detuning``
     gives an array ``srm_detuning``: one configuration for the whole sweep.
-    Only the membrane detuning is formed, not the whole reduction.
+    Only the membrane detuning is formed, not the whole reduction, and the
+    copy is not validated again: no check of the configuration reads
+    ``srm_detuning``, so ``dataclasses.replace`` would only repeat them.
     """
     membrane_detuning = _membrane_detuning(config, _carrier_excess(config)[1])
-    return replace(config, srm_detuning=detuning - membrane_detuning)
+    retuned = object.__new__(type(config))
+    retuned.__dict__.update(vars(config), srm_detuning=detuning - membrane_detuning)
+    return retuned
 
 
 def small_offset_expansion(config: InterferometerConfig):

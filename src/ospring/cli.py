@@ -6,8 +6,8 @@ header row, shortest round-trip float formatting.  JSON output mirrors the
 CSV columns as arrays next to a ``meta`` block with the resolved SI
 parameters, laid out exactly as ``json.dumps(indent=2)`` would write it: one
 array element per line, non-finite floats spelled ``NaN``/``Infinity``/
-``-Infinity`` as ``json`` spells them.  Both formats are written a column at
-a time.
+``-Infinity`` as ``json`` spells them.  Both formats are written in blocks
+of rows as they are formatted, same bytes.
 
 ``main`` resolves the configuration's operating point and its effective
 cavity once (:meth:`ospring.runconfig.RunConfig.interferometer`) and hands
@@ -17,6 +17,7 @@ both to the subcommand's handler and on to the JSON ``meta`` block.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -41,28 +42,44 @@ from .runconfig import (
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BLOCK = 4096  # table rows formatted, then written, at a time
 
 
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _open(path: str | None):
+    """The output destination: the file at ``path``, or stdout (left open)."""
     if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cells(column, as_json: bool) -> list[str]:
-    """One column as cell strings, its type dispatched once.
+def _write_text(dest, text: str) -> None:
+    """Every byte of output passes through here, to an open destination."""
+    dest.write(text)
+
+
+def _write_lines(path: str | None, lines) -> None:
+    with _open(path) as dest:
+        _write_text(dest, "\n".join(lines) + "\n")
+
+
+def _column(column) -> np.ndarray:
+    """A column as an array of a kind that ``_cells`` formats (bool, str,
+    integer or float64), converted before any output is opened."""
+    arr = np.asarray(column)
+    return arr if arr.dtype.kind in "bUiu" else np.asarray(arr, dtype=np.float64)
+
+
+def _cells(arr: np.ndarray, as_json: bool) -> list[str]:
+    """A block of a ``_column`` as cell strings, its type dispatched once.
 
     Floats are formatted once per distinct bit pattern (so ``-0.0`` keeps
     its sign); JSON turns integers into floats and spells non-finite values
     as ``json`` does.
     """
-    arr = np.asarray(column)
     kind = arr.dtype.kind
     if kind == "b":
         return ["true" if v else "false" for v in arr.tolist()]
@@ -83,19 +100,25 @@ def _emit_table(
 ) -> None:
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
+    columns = [_column(column) for column in columns]
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(map(",".join, zip(*(_cells(column, False) for column in columns))))
-        _write_text(path, "\n".join(lines) + "\n")
+        with _open(path) as dest:
+            _write_text(dest, ",".join(header) + "\n")
+            for start in range(0, min(map(len, columns)), _BLOCK):
+                block = (_cells(column[start : start + _BLOCK], False) for column in columns)
+                _write_text(dest, "\n".join(map(",".join, zip(*block))) + "\n")
         return
     # the layout json.dumps(payload, indent=2) writes, one array element per line
-    parts = [json.dumps({"meta": _meta(run, config, cavity)}, indent=2)[: -len("\n}")]]
-    for name, column in zip(header, columns):
-        parts.append(f",\n  {encode_basestring_ascii(name)}: [\n    ")
-        parts.append(",\n    ".join(_cells(column, True)))
-        parts.append("\n  ]")
-    parts.append("\n}\n")
-    _write_text(path, "".join(parts))
+    prefix = json.dumps({"meta": _meta(run, config, cavity)}, indent=2)[: -len("\n}")]
+    with _open(path) as dest:
+        _write_text(dest, prefix)
+        for name, column in zip(header, columns):
+            _write_text(dest, f",\n  {encode_basestring_ascii(name)}: [")
+            for start in range(0, len(column), _BLOCK):
+                cells = _cells(column[start : start + _BLOCK], True)
+                _write_text(dest, (",\n    " if start else "\n    ") + ",\n    ".join(cells))
+            _write_text(dest, "\n  ]" if len(column) else "]")
+        _write_text(dest, "\n}\n")
 
 
 def _meta(run: RunConfig, config, cavity) -> dict:
@@ -185,7 +208,7 @@ def cmd_darkport(run: RunConfig, config, cavity, args) -> int:
         f"arm_imbalance_m = {_fmt(cav._phases(config).delta_l)}",
         f"tau_residual = {_fmt(abs(complex(tau)))}",
     ]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -199,7 +222,7 @@ def cmd_cavity(run: RunConfig, config, cavity, args) -> int:
         f"srm_half_linewidth_rad_s = {_fmt(cavity.srm_half_linewidth)}",
         f"membrane_half_linewidth_rad_s = {_fmt(cavity.membrane_half_linewidth)}",
     ]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, lines)
     return 0
 
 
@@ -384,7 +407,7 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
     check("exact_vs_narrowband_kernel", kernel_oracle)
 
     lines = [("PASS" if ok else "FAIL") + f": {name}" for name, ok in checks]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, lines)
     return 0 if all(ok for _, ok in checks) else 2
 
 

@@ -208,6 +208,14 @@ def classify_regimes(spring, damping):
     return labels
 
 
+def _require_linewidth(cavity: EffectiveCavity) -> None:
+    """Reject a cavity with a half-linewidth that is not positive anywhere
+    (per offset row of a map): lorentz = gamma^2 + delta^2 vanishes on
+    resonance and the narrow-band laws divide by it."""
+    if not np.all(cavity.half_linewidth > 0.0):
+        raise ValueError("the narrow-band laws need a positive half-linewidth")
+
+
 def _spring_damping_sweep(
     config: InterferometerConfig, cavity: EffectiveCavity, deltas, omega_eval: float | None
 ):
@@ -280,8 +288,7 @@ def stability_report(
     """
     deltas = np.asarray(deltas, dtype=float)
     cavity = cav.effective_cavity(config)
-    if not cavity.half_linewidth > 0.0:  # lorentz = gamma^2 + delta^2 vanishes on resonance
-        raise ValueError("the narrow-band laws need a positive half-linewidth")
+    _require_linewidth(cavity)
     spring, damping = _spring_damping_sweep(config, cavity, deltas, omega_eval)
 
     lo, hi = sorted((float(deltas[0]), float(deltas[-1])))  # window boundaries ascend
@@ -333,6 +340,8 @@ def regime_map(
         raise ValueError("regime map grids must be nonempty")
 
     grid = replace(config, offset=offsets.reshape(-1, 1))
-    spring, damping = _spring_damping_sweep(grid, cav.effective_cavity(grid), deltas, omega_eval)
+    cavity = cav.effective_cavity(grid)
+    _require_linewidth(cavity)
+    spring, damping = _spring_damping_sweep(grid, cavity, deltas, omega_eval)
     labels = classify_regimes(spring, damping)
     return RegimeMap(deltas, offsets, spring, damping, labels)

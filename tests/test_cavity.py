@@ -9,6 +9,7 @@ from hypothesis import strategies as hst
 
 from ospring import cavity as cav
 from ospring import transfer_optics as to
+from ospring.presets import PRESET_NAMES, preset_path
 from ospring.params import (
     C_LIGHT,
     BeamsplitterParams,
@@ -16,6 +17,7 @@ from ospring.params import (
     InterferometerConfig,
     MirrorParams,
 )
+from ospring.runconfig import load_config
 
 from conftest import WAVELENGTH
 
@@ -240,6 +242,23 @@ def test_with_total_detuning_roundtrip(narrow_config):
     for target in (-2.2e6, 0.0, 7.7e5):
         tuned = cav.with_total_detuning(narrow_config, target)
         assert cav.effective_cavity(tuned).detuning == pytest.approx(target, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_with_total_detuning_matches_replace(name):
+    # the retuned copy skips the checks replace() would re-run, not a bit of its fields
+    config, cavity = load_config(preset_path(name)).interferometer()
+    for target in (-2.2e6, np.linspace(-3.0, 3.0, 7) * cavity.half_linewidth):
+        tuned = cav.with_total_detuning(config, target)
+        expected = replace(config, srm_detuning=target - cavity.membrane_detuning)
+        assert type(tuned) is InterferometerConfig
+        for field in fields(config):
+            got, want = getattr(tuned, field.name), getattr(expected, field.name)
+            if field.name == "srm_detuning":
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            else:
+                assert got is want, field.name
 
 
 def test_narrowband_warning_for_fat_linewidth(geometry):

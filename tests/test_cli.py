@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -411,21 +413,44 @@ def test_oversized_sweep_is_validation_exit(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_zero_linewidth_stability_is_validation_exit(tmp_path, capsys):
+def _zero_linewidth_cfg(tmp_path, extra=""):
     # a lossless recycling mirror with the membrane on its node: gamma = 0
     text = Path(preset_path("fig2c")).read_text()
     text = text.replace("sr_power_transmissivity = 3e-4", "sr_power_transmissivity = 0")
-    cfg = write_cfg(tmp_path, text.replace("offset_xi_lambda0 = 0.01", "offset_xi_lambda0 = 0"))
+    return write_cfg(tmp_path, text.replace("offset_xi_lambda0 = 0.01", "offset_xi_lambda0 = 0") + extra)
+
+
+def test_zero_linewidth_stability_is_validation_exit(tmp_path, capsys):
     out = tmp_path / "out.csv"
-    assert run_cli("stability", "--config", cfg, "--out", str(out)) == 2
+    assert run_cli("stability", "--config", _zero_linewidth_cfg(tmp_path), "--out", str(out)) == 2
     assert capsys.readouterr().err == (
         "ospring: the narrow-band laws need a positive half-linewidth\n"
     )
     assert not out.exists()
 
 
-# The row-wise emitter that the column-wise one replaced, kept verbatim as
-# the byte contract of the CSV, JSON and scalar outputs.
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_linewidth_map_is_validation_exit(tmp_path, capsys, fmt):
+    sweep2 = "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0\nstop = 0\npoints = 3\n"
+    cfg = _zero_linewidth_cfg(tmp_path, sweep2)
+    out = tmp_path / "out"
+    assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", "ospring: the narrow-band laws need a positive half-linewidth\n"
+    )
+    assert not out.exists()
+
+
+# The row-wise, one-shot emitter that the streamed one replaced, kept
+# verbatim as the byte contract of the CSV, JSON and scalar outputs.
+def _reference_write(path, text):
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
 def _reference_fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -443,7 +468,7 @@ def _reference_emit_table(header, columns, run, config, cavity, out, fmt):
         lines = [",".join(header)]
         rows = zip(*columns)
         lines.extend(",".join(_reference_fmt(v) for v in row) for row in rows)
-        cli._write_text(path, "\n".join(lines) + "\n")
+        _reference_write(path, "\n".join(lines) + "\n")
         return
     payload = {"meta": cli._meta(run, config, cavity)}
     for name, column in zip(header, columns):
@@ -451,7 +476,7 @@ def _reference_emit_table(header, columns, run, config, cavity, out, fmt):
             v if isinstance(v, str) else (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
             for v in column
         ]
-    cli._write_text(path, json.dumps(payload, indent=2) + "\n")
+    _reference_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _reference_and_columnwise(monkeypatch, tmp_path, *argv):
@@ -468,30 +493,72 @@ def _reference_and_columnwise(monkeypatch, tmp_path, *argv):
     return results
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_emitter_bytes_on_synthetic_table(tmp_path, fmt):
-    run = load_config(preset_path("fig2c"))
-    config, cavity = run.interferometer()
+def _synthetic_table(rows):
+    """Columns of every kind ``_emit_table`` takes, whose twelve-row pattern
+    of awkward values straddles the first block edge, six rows each side."""
+    pattern = (np.arange(rows) - (cli._BLOCK - 6)) % 12
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5])
+    labels = np.array(["cooling", "heating", 'say "hi"', "héating", "neutral", "stable_spring"] * 2,
+                      dtype="U15")
     header = ["float", "strided", "np_bool", "py_bool", "int", "label"]
     columns = [
-        np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5]),
-        (np.linspace(-1.0, 1.0, 12) * (1.0 - 2.0j)).imag,  # non-contiguous view
-        np.arange(12) % 3 == 0,
-        [i % 2 == 0 for i in range(12)],
-        np.arange(12, dtype=np.int64) * 10**15 + 2**53 + 1,
-        np.array(["cooling", "heating", 'say "hi"', "héating", "neutral", "stable_spring"] * 2,
-                 dtype="U15"),
+        floats[pattern],
+        (np.linspace(-1.0, 1.0, rows) * (1.0 - 2.0j)).imag,  # non-contiguous view
+        pattern % 3 == 0,
+        [i % 2 == 0 for i in pattern.tolist()],
+        pattern.astype(np.int64) * 10**15 + 2**53 + 1,
+        labels[pattern],
     ]
-    outputs = []
-    for emit in (_reference_emit_table, cli._emit_table):
-        out = tmp_path / f"{emit.__name__}.{fmt}"
-        emit(header, columns, run, config, cavity, str(out), fmt)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    if fmt == "json":
-        payload = json.loads(outputs[1])
-        assert str(payload["float"][:4]) == "[nan, inf, -inf, -0.0]"
-        assert payload["label"][3] == "héating"
+    return header, columns
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitter_bytes_on_synthetic_table(tmp_path, capsys, fmt):
+    run = load_config(preset_path("fig2c"))
+    config, cavity = run.interferometer()
+    for rows in (0, 12, cli._BLOCK, 5 * cli._BLOCK // 2):
+        header, columns = _synthetic_table(rows)
+        outputs = []
+        for emit in (_reference_emit_table, cli._emit_table):
+            out = tmp_path / f"{emit.__name__}.{fmt}"
+            emit(header, columns, run, config, cavity, str(out), fmt)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], rows
+        if fmt == "json":
+            payload = json.loads(outputs[1])
+            assert str(payload["float"]) == str(columns[0].tolist())  # nan, inf, -0.0 spelled
+            assert payload["label"] == columns[-1].tolist()
+    # the last table again, to stdout: no --out and no [output] path
+    to_stdout = replace(run, output=replace(run.output, path=None))
+    capsys.readouterr()
+    cli._emit_table(header, columns, to_stdout, config, cavity, None, fmt)
+    assert capsys.readouterr().out.encode("utf-8") == outputs[1]
+
+
+def _emit_peak(tmp_path, rows):
+    """tracemalloc's peak during one CSV emission of a float and a label
+    column of ``rows`` rows, less the bytes of the two columns."""
+    run = load_config(preset_path("fig2c"))
+    config, cavity = run.interferometer()
+    tracemalloc.start()
+    try:
+        floats = np.linspace(-1.0, 1.0, rows) ** 3  # distinct, mostly 19-22 characters
+        labels = np.array(["cooling", "heating", "stable_spring", "unstable_spring"], dtype="U15")
+        columns = [floats, labels[np.arange(rows) % 4]]
+        tracemalloc.reset_peak()  # the peak from here on holds the columns
+        cli._emit_table(["x", "label"], columns, run, config, cavity, str(tmp_path / "t.csv"), "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(column.nbytes for column in columns)
+
+
+def test_emission_memory_is_bounded(tmp_path):
+    small, large = _emit_peak(tmp_path, 50_000), _emit_peak(tmp_path, 200_000)
+    # a block's cell and row strings take ~230 bytes a row, ~0.9 MiB in all;
+    # the whole 200,000-row table would take ~45 MiB
+    assert small < 4 * 2**20 and large < 4 * 2**20, (small, large)
+    assert large - small < cli._BLOCK * 256, (small, large)  # less than one block's worth
 
 
 EMITTING_COMMANDS = (
