@@ -23,7 +23,6 @@ from .cavity import (
     dark_port_offset,
     dark_port_phase,
     effective_cavity,
-    membrane_field_matrices,
     resonance_denominator,
     small_offset_expansion,
     with_total_detuning,

@@ -4,8 +4,8 @@ spring / damping extracted from it.
 Three evaluation paths with increasing approximation:
 
 * exact      closed form of the full model, valid for any parameters and
-             cross-checked against the 2x2 matrix path of
-             :func:`ospring.cavity.membrane_field_matrices`;
+             cross-checked in the tests against the 2x2 matrix path built
+             on :func:`ospring.transfer_optics.field_matrices`;
 * narrowband closed form in the effective-cavity rates, valid for a
              balanced beamsplitter near a dark port with a narrow line;
 * free mass  zero-frequency limit of the narrowband form with a fully

@@ -11,7 +11,6 @@ fraction of a wavelength.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,63 +118,6 @@ def _dark_port_carrier(membrane: MirrorParams, bs: BeamsplitterParams, index: in
         rm * complex(asym * cosine, sine) / rho2_dp,  # w = w_re*Re(e) + w_im*Im(e)
         1j * rm * complex(cosine, asym * sine) / rho2_dp,
         complex((rm * rm - asym * asym) / (cross * rm), tm * sine),
-    )
-
-
-def roundtrip_phase(config: InterferometerConfig) -> float:
-    """Carrier round-trip phase 2*k0*cavity_length pinned by the tuning.
-
-    Chosen so that the recycling denominator becomes
-    1 - R_sr*|rho2|*exp(2i*detuning*cavity_length/c) with the total detuning
-    equal to srm_detuning on the dark port.
-    """
-    lc = config.geometry.cavity_length
-    rho2_dp = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index).rho2
-    return 2.0 * config.srm_detuning * lc / C_LIGHT - cmath.phase(rho2_dp)
-
-
-def sideband_propagators(config: InterferometerConfig, omega: float, arm_gauge: float = 0.0):
-    """Tuned-phase propagators for the sideband at offset frequency omega.
-
-    The fold propagator carries half the exact imbalance phase per path and
-    the recycling path half the round-trip phase.  Only the split of the
-    round-trip phase between the arm and the recycling path is free:
-    ``arm_gauge`` moves carrier phase from the recycling path onto the arm
-    (observables must not react, which makes it a useful invariance check).
-    """
-    geom = config.geometry
-    k_side = omega / C_LIGHT
-    phi = imbalance_phase(config)
-    p_arm = np.diag([np.exp(1j * (k_side * geom.arm_length + arm_gauge))] * 2)
-    dl = _phases(config).delta_l
-    p_fold = np.diag(
-        [
-            np.exp(1j * (-phi / 2.0 + k_side * (geom.half_arm - dl / 2.0))),
-            np.exp(1j * (phi / 2.0 + k_side * (geom.half_arm + dl / 2.0))),
-        ]
-    )
-    p_sr = np.diag(
-        [
-            1.0,
-            np.exp(
-                1j
-                * (roundtrip_phase(config) / 2.0 - arm_gauge + k_side * geom.sr_distance)
-            ),
-        ]
-    ).astype(complex)
-    return p_arm, p_fold, p_sr
-
-
-def membrane_field_matrices(config: InterferometerConfig, omega: float, arm_gauge: float = 0.0):
-    """Tuned input -> membrane-face field maps at sideband frequency omega.
-
-    omega = 0 gives the mean-field maps.  Returns ``(m_inc, m_ref)`` as in
-    :func:`ospring.transfer_optics.field_matrices`.
-    """
-    p_arm, p_fold, p_sr = sideband_propagators(config, omega, arm_gauge)
-    return to.field_matrices(
-        config.membrane, config.bs, config.srm, p_arm, p_fold, p_sr,
-        denominator=resonance_denominator(config, omega),
     )
 
 

@@ -5,14 +5,17 @@ Matrices are plain (2, 2) complex numpy arrays acting on column vectors of
 field amplitudes.  Element matrices are real (Stokes form); the overall
 field phase is a gauge choice and never observable.
 
-The field maps use tuned propagators: carrier phases split off and pinned
-by the operating point (see :mod:`ospring.cavity`), with only the sideband
-part k -> omega/c taken from the macroscopic lengths.  They are the matrix
-path that the closed forms of :mod:`ospring.backaction` and
-:mod:`ospring.noise` are checked against.  Only :func:`msi_matrix` takes its
-phases literally as k times a macroscopic length, for the algebraic
-identities (unitarity, energy closure) where the absolute phase is
-irrelevant.
+:func:`field_matrices` assembles the field maps from propagators its
+caller builds.  The package builds none: the closed forms of
+:mod:`ospring.backaction` and :mod:`ospring.noise` are the one field model
+it runs.  The tests build tuned propagators (carrier phases pinned by the
+operating point, only the sideband part k -> omega/c taken from the
+macroscopic lengths) and pass them here, as the independent matrix path
+the closed forms are checked against; the function stays public for that
+path and for the benchmark harness, which times it by name.
+:func:`msi_matrix` takes its phases literally as k times a macroscopic
+length, for the algebraic identities (unitarity, energy closure) where the
+absolute phase is irrelevant.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import cmath
 import warnings
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 
 from ospring import backaction as ba
 from ospring import cavity as cav
+from ospring import transfer_optics as to
 from ospring.params import (
     C_LIGHT,
     HBAR,
@@ -90,14 +92,75 @@ def random_config(rng, geometry, max_offset=0.02, max_tsr_sq=0.01):
             )
 
 
+# The tuned 2x2 matrix route: an independent field model that the closed
+# forms of ``ospring.backaction`` and ``ospring.noise`` are checked against.
+
+
+def roundtrip_phase(config: InterferometerConfig) -> float:
+    """Carrier round-trip phase 2*k0*cavity_length pinned by the tuning.
+
+    Chosen so that the recycling denominator becomes
+    1 - R_sr*|rho2|*exp(2i*detuning*cavity_length/c) with the total detuning
+    equal to srm_detuning on the dark port.
+    """
+    lc = config.geometry.cavity_length
+    rho2_dp = cav._dark_port_carrier(config.membrane, config.bs, config.dark_port_index).rho2
+    return 2.0 * config.srm_detuning * lc / C_LIGHT - cmath.phase(rho2_dp)
+
+
+def sideband_propagators(config: InterferometerConfig, omega: float, arm_gauge: float = 0.0):
+    """Tuned-phase propagators for the sideband at offset frequency omega.
+
+    The fold propagator carries half the exact imbalance phase per path and
+    the recycling path half the round-trip phase.  Only the split of the
+    round-trip phase between the arm and the recycling path is free:
+    ``arm_gauge`` moves carrier phase from the recycling path onto the arm
+    (observables must not react, which makes it a useful invariance check).
+    """
+    geom = config.geometry
+    k_side = omega / C_LIGHT
+    phi = cav.imbalance_phase(config)
+    p_arm = np.diag([np.exp(1j * (k_side * geom.arm_length + arm_gauge))] * 2)
+    dl = cav._phases(config).delta_l
+    p_fold = np.diag(
+        [
+            np.exp(1j * (-phi / 2.0 + k_side * (geom.half_arm - dl / 2.0))),
+            np.exp(1j * (phi / 2.0 + k_side * (geom.half_arm + dl / 2.0))),
+        ]
+    )
+    p_sr = np.diag(
+        [
+            1.0,
+            np.exp(
+                1j
+                * (roundtrip_phase(config) / 2.0 - arm_gauge + k_side * geom.sr_distance)
+            ),
+        ]
+    ).astype(complex)
+    return p_arm, p_fold, p_sr
+
+
+def membrane_field_matrices(config: InterferometerConfig, omega: float, arm_gauge: float = 0.0):
+    """Tuned input -> membrane-face field maps at sideband frequency omega.
+
+    omega = 0 gives the mean-field maps.  Returns ``(m_inc, m_ref)`` as in
+    ``ospring.transfer_optics.field_matrices``.
+    """
+    p_arm, p_fold, p_sr = sideband_propagators(config, omega, arm_gauge)
+    return to.field_matrices(
+        config.membrane, config.bs, config.srm, p_arm, p_fold, p_sr,
+        denominator=cav.resonance_denominator(config, omega),
+    )
+
+
 def matrix_noise_density(config, omega_scalar):
     """Independent matrix-route force-noise density (laser, detector parts).
 
     Projects the mean incident fields onto the sideband reflected-field map
     and sums the squared couplings of the two vacuum inputs.
     """
-    m_inc0, _ = cav.membrane_field_matrices(config, 0.0)
-    _, m_ref = cav.membrane_field_matrices(config, omega_scalar)
+    m_inc0, _ = membrane_field_matrices(config, 0.0)
+    _, m_ref = membrane_field_matrices(config, omega_scalar)
     row = m_inc0[:, 0].conj() @ m_ref
     scale = (
         4.0 * HBAR * config.geometry.wavenumber / C_LIGHT
@@ -116,7 +179,7 @@ def static_kernel_oracle(config, step=1e-12):
     """
 
     def face_difference(cfg):
-        m_inc, m_ref = cav.membrane_field_matrices(cfg, 0.0)
+        m_inc, m_ref = membrane_field_matrices(cfg, 0.0)
         inc, ref = m_inc[:, 0], m_ref[:, 0]
         return (
             abs(inc[0]) ** 2 + abs(ref[0]) ** 2 - abs(inc[1]) ** 2 - abs(ref[1]) ** 2
@@ -132,13 +195,13 @@ def matrix_path_kernel(config, omega, arm_gauge=0.0):
     """Exact kernel with its mean-field term taken from the matrix path.
 
     The mean membrane-face fields come from the 2x2 products of
-    ``cav.membrane_field_matrices`` at the given carrier-phase gauge, and the
+    ``membrane_field_matrices`` at the given carrier-phase gauge, and the
     detector-port carrier amplitude y from the O(1) round-trip phase
-    ``cav.roundtrip_phase``; only the feedback term is shared with
+    ``roundtrip_phase``; only the feedback term is shared with
     ``ba.kernel_exact``.  Scalar configurations only.
     """
     om = np.asarray(omega, dtype=float)
-    m_inc, m_ref = cav.membrane_field_matrices(config, 0.0, arm_gauge)
+    m_inc, m_ref = membrane_field_matrices(config, 0.0, arm_gauge)
     a1, a2 = m_inc[0, 0], m_inc[1, 0]
     b1, b2 = np.conj(m_ref[0, 0]), np.conj(m_ref[1, 0])
     static = b1 * a1 - b2 * a2
@@ -147,7 +210,7 @@ def matrix_path_kernel(config, omega, arm_gauge=0.0):
     p_dp = cav._dark_port_carrier(config.membrane, config.bs, config.dark_port_index).p
     tau = 2.0 * rm * rb * tb * (p_dp * cav.expm1i(config.geometry.wavenumber * config.offset)).real
     d0 = cav.resonance_denominator(config, 0.0)
-    y = config.srm.reflectivity * np.exp(1j * cav.roundtrip_phase(config)) * tau / d0
+    y = config.srm.reflectivity * np.exp(1j * roundtrip_phase(config)) * tau / d0
 
     ph = cav._phases(config)
     e_h = cav.expm1i(0.5 * om / C_LIGHT * ph.delta_l)

@@ -19,7 +19,7 @@ from ospring.params import (
 )
 from ospring.runconfig import load_config
 
-from conftest import WAVELENGTH
+from conftest import WAVELENGTH, membrane_field_matrices, random_config
 
 
 def test_dark_port_offset_balanced():
@@ -187,6 +187,31 @@ def test_exact_vs_narrowband_linewidth_bound(narrow_config):
         assert rel < t_sr_sq + tau_sq
 
 
+def test_linewidth_gap_closed_form_on_random_configs():
+    """With a = T_sr^2, b = tau^2 and q = 1 - R_sr*|rho2|, q*(2 - q) = a + b - a*b
+    gives gamma_exact - gamma = gamma*(q^2 - a*b)/(a + b) exactly; since
+    q <= (a + b)/(1 + R_sr*|rho2|) and a*b <= (a + b)^2/4, the gap stays below
+    gamma*(a + b)/(1 + R_sr*|rho2|)^2, which it reaches where a or b vanishes.
+    ``validate``'s narrowband_linewidth_gap allows twice that."""
+    rng = np.random.default_rng(17)
+    geometry = Geometry(0.05, 0.027, 0.01, WAVELENGTH)
+    for i in range(400):
+        config = random_config(rng, geometry, max_offset=0.2, max_tsr_sq=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # wide lines are the point here
+            if i % 4 == 0:  # T_sr = 0: the gap reaches the bound
+                config = replace(config, srm=MirrorParams.from_power_transmissivity(0.0))
+            cavity = cav.effective_cavity(config)
+        _, rho2, tau = to.effective_mirror(config.membrane, config.bs, cav.imbalance_phase(config))
+        a, b = config.srm.transmissivity**2, abs(tau) ** 2
+        loop = config.srm.reflectivity * abs(rho2)
+        q = (a + b - a * b) / (1.0 + loop)
+        gamma = cavity.half_linewidth
+        gap = cavity.half_linewidth_exact - gamma
+        assert gap == pytest.approx(gamma * (q * q - a * b) / (a + b), rel=0, abs=1e-13 * gamma)
+        assert abs(gap) <= gamma * ((a + b) / (1.0 + loop) ** 2 + 1e-13)
+
+
 def test_small_offset_expansion_zero_offset(narrow_config):
     config = replace(narrow_config, offset=0.0)
     gamma_m, delta_m, sign = cav.small_offset_expansion(config)
@@ -298,7 +323,7 @@ def test_resonance_denominator_matches_effective_quantities(narrow_config):
 def test_membrane_field_matrices_resonant_gain(narrow_config):
     config = cav.with_total_detuning(narrow_config, 0.0)
     cavity = cav.effective_cavity(config)
-    m_inc, _ = cav.membrane_field_matrices(config, 0.0)
+    m_inc, _ = membrane_field_matrices(config, 0.0)
     gain = abs(m_inc[1, 1]) ** 2
     lorentz = (
         config.bs.transmissivity**2

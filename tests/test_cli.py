@@ -17,6 +17,7 @@ import ospring
 from ospring import backaction as ba
 from ospring import cavity as cav
 from ospring import cli
+from ospring import noise as noi
 from ospring import stability as st
 from ospring.presets import PRESET_METHODS, PRESET_NAMES, PRESET_SUBCOMMANDS, preset_path
 from ospring.runconfig import PHYSICAL_KEYS, REQUIRED_PHYSICAL, RunConfig, load_config
@@ -328,14 +329,28 @@ def test_stability_json_booleans(tmp_path):
     assert set(map(type, payload["regime_label"])) == {str}
 
 
+VALIDATE_CHECKS = [
+    "unitarity_and_energy_closure",
+    "dark_port_residual",
+    "carrier_loop_fixed_point",
+    "narrowband_linewidth_gap",
+    "noise_closure_and_positivity",
+    "carrier_mean_fields",
+    "exact_vs_narrowband_kernel",
+]
+
+
+def run_validate(tmp_path, name):
+    out = tmp_path / "validate.txt"
+    code = run_cli("validate", "--config", preset_path(name), "--out", str(out))
+    return code, out.read_text().splitlines()
+
+
 @pytest.mark.parametrize(
     "name", ["fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b"]
 )
 def test_validate_passes_reference_preset(tmp_path, name):
-    out = tmp_path / "validate.txt"
-    assert run_cli("validate", "--config", preset_path(name), "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert lines and all(line.startswith("PASS") for line in lines)
+    assert run_validate(tmp_path, name) == (0, [f"PASS: {check}" for check in VALIDATE_CHECKS])
 
 
 def test_validate_catches_a_wrong_narrowband_damping(tmp_path, monkeypatch):
@@ -343,16 +358,57 @@ def test_validate_catches_a_wrong_narrowband_damping(tmp_path, monkeypatch):
     # sweep; it must still see a narrow-band kernel whose damping has the wrong sign
     narrowband = ba.kernel_narrowband
     monkeypatch.setattr(ba, "kernel_narrowband", lambda *a, **k: np.conj(narrowband(*a, **k)))
-    out = tmp_path / "validate.txt"
-    assert run_cli("validate", "--config", preset_path("fig2c"), "--out", str(out)) == 2
-    assert "FAIL: exact_vs_narrowband_kernel" in out.read_text().splitlines()
+    code, lines = run_validate(tmp_path, "fig2c")
+    assert code == 2 and "FAIL: exact_vs_narrowband_kernel" in lines
+
+
+@pytest.mark.parametrize(
+    "fault, check",
+    [
+        # a detector-port carrier one part in 1e6 off no longer closes the carrier loop
+        (lambda y, interference: (y * (1.0 + 1e-6), interference), "carrier_loop_fixed_point"),
+        (lambda y, interference: (y, -interference), "carrier_mean_fields"),
+    ],
+    ids=["scaled_amplitude", "flipped_interference"],
+)
+def test_validate_catches_a_wrong_carrier(tmp_path, monkeypatch, fault, check):
+    carrier = ba._carrier
+    monkeypatch.setattr(ba, "_carrier", lambda *args: fault(*carrier(*args)))
+    code, lines = run_validate(tmp_path, "fig2c")
+    assert code == 2 and f"FAIL: {check}" in lines
+
+
+def test_validate_catches_a_wrong_exact_linewidth(tmp_path, monkeypatch):
+    # the recycling mirror's share of the exact width taken with T_sr^2, where
+    # 1 - R_sr = T_sr^2/(1 + R_sr) belongs
+    effective_cavity = cav.effective_cavity
+
+    def wrong(config):
+        cavity = effective_cavity(config)
+        return replace(
+            cavity, half_linewidth_exact=cavity.half_linewidth_exact + cavity.srm_half_linewidth
+        )
+
+    monkeypatch.setattr(cav, "effective_cavity", wrong)
+    code, lines = run_validate(tmp_path, "fig2c")
+    assert code == 2 and "FAIL: narrowband_linewidth_gap" in lines
+
+
+def test_validate_reports_a_crashing_check_as_an_error(tmp_path, monkeypatch):
+    def crash(*args, **kwargs):
+        raise ZeroDivisionError("no spectrum")
+
+    monkeypatch.setattr(noi, "back_action_spectrum", crash)
+    code, lines = run_validate(tmp_path, "fig2c")
+    assert code == 2
+    expected = [f"PASS: {check}" for check in VALIDATE_CHECKS]
+    expected[4] = "ERROR: noise_closure_and_positivity: ZeroDivisionError: no spectrum"
+    assert lines == expected
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig3d"])
-def test_validate_gauge_check_on_free_mass_presets(tmp_path, name):
-    out = tmp_path / "validate.txt"
-    run_cli("validate", "--config", preset_path(name), "--out", str(out))
-    assert "PASS: carrier_phase_gauge_invariance" in out.read_text().splitlines()
+def test_validate_mean_field_check_on_free_mass_presets(tmp_path, name):
+    assert "PASS: carrier_mean_fields" in run_validate(tmp_path, name)[1]
 
 
 def test_deterministic_output(tmp_path):

@@ -9,7 +9,7 @@ from ospring import cavity as cav
 from ospring import transfer_optics as to
 from ospring.params import BeamsplitterParams, Geometry, InterferometerConfig, MirrorParams
 
-from conftest import WAVELENGTH, random_config, random_lossless
+from conftest import WAVELENGTH, random_config, random_lossless, sideband_propagators
 
 
 def test_beamsplitter_balanced():
@@ -114,7 +114,7 @@ def test_unitarity_and_effective_mirror_identities():
 
 def _loop(config, omega):
     """Recycling loop p_sr R_sr p_sr M_ms built from the tuned propagators."""
-    p_arm, p_fold, p_sr = cav.sideband_propagators(config, omega)
+    p_arm, p_fold, p_sr = sideband_propagators(config, omega)
     m_bs = to.beamsplitter_matrix(config.bs)
     m_ms = m_bs.T @ p_arm @ p_fold @ to.membrane_matrix(config.membrane) @ p_fold @ p_arm @ m_bs
     r_sr = np.diag([0.0, config.srm.reflectivity]).astype(complex)
@@ -140,7 +140,7 @@ def test_resolvent_matches_numeric_inversion():
         config = random_config(rng, Geometry(0.05, 0.027, 0.01, WAVELENGTH), max_tsr_sq=0.5)
         config = replace(config, srm_detuning=rng.uniform(-1.0, 1.0) * 1e8)
         omega = rng.uniform(-1.0, 1.0) * 1e8
-        for p in cav.sideband_propagators(config, omega):
+        for p in sideband_propagators(config, omega):
             assert np.max(np.abs(p.conj().T @ p - eye)) < 1e-12
         loop = _loop(config, omega)
         denom = complex(cav.resonance_denominator(config, omega))
