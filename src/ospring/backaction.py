@@ -163,7 +163,7 @@ def kernel_exact(config: InterferometerConfig, omega):
         out *= scale
         return (out,)
 
-    return cav._blockwise(kernel, config, om)[0]
+    return cav._sweep_blockwise(kernel, config, om)[0]
 
 
 def _gain(membrane: MirrorParams, input_power: float, carrier_omega: float, cavity_length: float):

@@ -242,27 +242,27 @@ def resonance_denominator(config: InterferometerConfig, omega):
 _BLOCK = 8192
 
 
-def _blockwise(fn, config: InterferometerConfig, omega):
-    """The tuple of arrays ``fn(omega)``, evaluated on blocks of a long 1-D
-    omega at a scalar operating point.
+def _blockwise(fn, length: int, row_cells: int = 1):
+    """The tuple of arrays ``fn(slice(None))``, evaluated as ``fn(rows)`` on
+    slices of its leading axis of ``length`` rows, ``row_cells`` cells each:
+    a 1-D omega sweep at a scalar operating point, or a map's offset rows.
 
-    fn is elementwise in omega, so the values are those of one call.  A
-    block's temporaries are reused from the allocator's free lists, while
-    whole-length ones are handed fresh pages: a 5.4e4-point kernel call
-    faulted in about 3,600 pages when it ran whole, 435 in blocks, and the
-    faults took longer than its arithmetic.
+    fn is elementwise along that axis, so the values are those of one call.
+    Blocks of about ``_BLOCK`` cells (at least one row) go into outputs
+    allocated once; a block's temporaries are reused from the allocator's
+    free lists, while whole-length ones are handed fresh pages: a 5.4e4-point
+    kernel call faulted in about 3,600 pages when it ran whole, 435 in blocks.
     """
-    if isinstance(omega, float) or omega.ndim != 1 or omega.size <= _BLOCK:
-        return fn(omega)
-    if np.ndim(config.offset) or np.ndim(config.srm_detuning):
-        return fn(omega)
+    step = max(1, _BLOCK // row_cells)
+    if length <= step:
+        return fn(slice(None))
     outs = None
-    for start in range(0, omega.size, _BLOCK):
-        parts = fn(omega[start:start + _BLOCK])
+    for start in range(0, length, step):
+        parts = fn(slice(start, start + step))
         if outs is None:
-            outs = tuple(np.empty(omega.shape, dtype=part.dtype) for part in parts)
+            outs = tuple(np.empty((length,) + part.shape[1:], dtype=part.dtype) for part in parts)
         for out, part in zip(outs, parts):
-            out[start:start + _BLOCK] = part
+            out[start:start + step] = part
     return outs
 
 
@@ -383,3 +383,11 @@ def small_offset_expansion(config: InterferometerConfig):
     gamma_m = C_LIGHT * rm**2 * phase**2 / (4.0 * geom.cavity_length)
     delta_m = sign * C_LIGHT * rm * tm * phase**2 / (4.0 * geom.cavity_length)
     return gamma_m, delta_m, sign
+
+
+def _sweep_blockwise(fn, config: InterferometerConfig, omega):
+    """The tuple ``fn(omega)``, through :func:`_blockwise` where omega leads
+    the result: a 1-D omega at a scalar operating point."""
+    if np.ndim(omega) == 1 and not (np.ndim(config.offset) or np.ndim(config.srm_detuning)):
+        return _blockwise(lambda rows: fn(omega[rows]), omega.size)
+    return fn(omega)

@@ -7,7 +7,10 @@ CSV columns as arrays next to a ``meta`` block with the resolved SI
 parameters, laid out exactly as ``json.dumps(indent=2)`` would write it: one
 array element per line, non-finite floats spelled ``NaN``/``Infinity``/
 ``-Infinity`` as ``json`` spells them.  Both formats are written in blocks
-of rows as they are formatted, same bytes.
+of rows as they are formatted, same bytes.  Columns of a table must be
+equally long, or nothing is written (exit 2).  A column may be categorical,
+its distinct values formatted once: ``map`` passes its ``delta`` and ``xi``
+axes and its labels so, and holds two floats and one byte per grid cell.
 
 ``main`` resolves the configuration's operating point and its effective
 cavity once (:meth:`ospring.runconfig.RunConfig.interferometer`) and hands
@@ -21,6 +24,7 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -42,7 +46,7 @@ from .runconfig import (
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_BLOCK = 4096  # table rows formatted, then written, at a time
+_BLOCK = 1024  # table rows formatted, then written, at a time
 
 
 def _fmt(value) -> str:
@@ -66,20 +70,34 @@ def _write_lines(path: str | None, lines) -> None:
         _write_text(dest, "\n".join(lines) + "\n")
 
 
-def _column(column) -> np.ndarray:
+@dataclass(frozen=True)
+class _Categorical:
+    """A table column given as its categories and, per row, an index into
+    them: the rows are the elements of ``codes`` in C order, so a broadcast
+    view of an index range stands for a repeated axis without its memory.
+    Each category is formatted once."""
+
+    categories: object
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+
+def _column(column):
     """A column as an array of a kind that ``_cells`` formats (bool, str,
-    integer or float64), converted before any output is opened."""
+    integer or float64), or a ``_Categorical`` with its categories so
+    converted, before any output is opened."""
+    if isinstance(column, _Categorical):
+        return _Categorical(_column(column.categories), column.codes)
     arr = np.asarray(column)
     return arr if arr.dtype.kind in "bUiu" else np.asarray(arr, dtype=np.float64)
 
 
 def _cells(arr: np.ndarray, as_json: bool) -> list[str]:
-    """A block of a ``_column`` as cell strings, its type dispatched once.
-
-    Floats are formatted once per distinct bit pattern (so ``-0.0`` keeps
-    its sign); JSON turns integers into floats and spells non-finite values
-    as ``json`` does.
-    """
+    """A block of a ``_column`` array as cell strings, its type dispatched
+    once.  JSON turns integers into floats and spells non-finite values as
+    ``json`` does."""
     kind = arr.dtype.kind
     if kind == "b":
         return ["true" if v else "false" for v in arr.tolist()]
@@ -87,25 +105,40 @@ def _cells(arr: np.ndarray, as_json: bool) -> list[str]:
         return list(map(encode_basestring_ascii, arr.tolist())) if as_json else arr.tolist()
     if kind in "iu" and not as_json:
         return list(map(str, arr.tolist()))
-    values = arr.astype(np.float64)
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    distinct = list(map(float.__repr__, values[first].tolist()))
+    values = arr.astype(np.float64, copy=False)
+    cells = list(map(float.__repr__, values.tolist()))
     if as_json and not np.isfinite(values).all():
-        distinct = [_JSON_NON_FINITE.get(text, text) for text in distinct]
-    return list(map(distinct.__getitem__, inverse.tolist()))
+        cells = [_JSON_NON_FINITE.get(text, text) for text in cells]
+    return cells
+
+
+def _blocks(column, as_json: bool):
+    """The cell strings of a ``_column``, ``_BLOCK`` rows at a time."""
+    if isinstance(column, _Categorical):
+        texts = _cells(column.categories, as_json)
+        rows = column.codes.flat
+        for start in range(0, len(column), _BLOCK):
+            yield list(map(texts.__getitem__, rows[start : start + _BLOCK].tolist()))
+        return
+    for start in range(0, len(column), _BLOCK):
+        yield _cells(column[start : start + _BLOCK], as_json)
 
 
 def _emit_table(
     header, columns, run: RunConfig, config, cavity, out: str | None, fmt: str | None
 ) -> None:
+    """Write a table of equally long columns: arrays, sequences or
+    ``_Categorical`` columns."""
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
     columns = [_column(column) for column in columns]
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"table columns differ in length: {lengths}")
     if fmt == "csv":
         with _open(path) as dest:
             _write_text(dest, ",".join(header) + "\n")
-            for start in range(0, min(map(len, columns)), _BLOCK):
-                block = (_cells(column[start : start + _BLOCK], False) for column in columns)
+            for block in zip(*(_blocks(column, False) for column in columns)):
                 _write_text(dest, "\n".join(map(",".join, zip(*block))) + "\n")
         return
     # the layout json.dumps(payload, indent=2) writes, one array element per line
@@ -114,9 +147,8 @@ def _emit_table(
         _write_text(dest, prefix)
         for name, column in zip(header, columns):
             _write_text(dest, f",\n  {encode_basestring_ascii(name)}: [")
-            for start in range(0, len(column), _BLOCK):
-                cells = _cells(column[start : start + _BLOCK], True)
-                _write_text(dest, (",\n    " if start else "\n    ") + ",\n    ".join(cells))
+            for i, cells in enumerate(_blocks(column, True)):
+                _write_text(dest, (",\n    " if i else "\n    ") + ",\n    ".join(cells))
             _write_text(dest, "\n  ]" if len(column) else "]")
         _write_text(dest, "\n}\n")
 
@@ -315,11 +347,11 @@ def cmd_map(run: RunConfig, config, cavity, args) -> int:
     n_d, n_x = deltas.size, offsets.size
     header = ["delta", "xi", "spring", "damping", "regime_label"]
     columns = [
-        np.tile(deltas, n_x),
-        np.repeat(offsets, n_d),
+        _Categorical(deltas, np.broadcast_to(np.arange(n_d), (n_x, n_d))),
+        _Categorical(offsets, np.broadcast_to(np.arange(n_x)[:, None], (n_x, n_d))),
         grid.spring.ravel(),
         grid.damping.ravel(),
-        grid.labels.ravel(),
+        _Categorical(st.REGIME_LABELS, grid.codes),
     ]
     if run.output.normalize:
         columns = _normalize_columns(columns, header, {"spring", "damping"})

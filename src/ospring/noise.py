@@ -92,7 +92,7 @@ def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
         scale = prefactor / np.abs(denom0 * denom) ** 2
         return scale * np.abs(laser_sum) ** 2, scale * t_sr**2 * np.abs(detector_sum) ** 2
 
-    laser_part, detector_part = cav._blockwise(densities, config, om)
+    laser_part, detector_part = cav._sweep_blockwise(densities, config, om)
     return NoiseSpectrum(om, laser_part + detector_part, laser_part, detector_part)
 
 

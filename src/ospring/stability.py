@@ -22,6 +22,8 @@ from .params import InterferometerConfig, MechanicalOscillator, MirrorParams
 
 REGIME_LABELS = ("cooling", "heating", "stable_spring", "unstable_spring", "neutral")
 NEUTRAL_FLOOR = 1e-12
+_LABELS = np.array(REGIME_LABELS, dtype="U15")
+_NEUTRAL = REGIME_LABELS.index("neutral")
 
 
 class DegenerateLeadingCoefficientError(ArithmeticError):
@@ -194,18 +196,27 @@ def roots_stable(coeffs):
 
 def classify_regimes(spring, damping):
     """Sign-based regime labels with a neutral band around either zero, of
-    ``NEUTRAL_FLOOR`` times the curve's largest magnitude."""
+    ``NEUTRAL_FLOOR`` times the curve's largest magnitude: the strings of
+    ``REGIME_LABELS`` (dtype ``U15``) that :func:`_regime_codes` indexes."""
     spring = np.asarray(spring, dtype=float)
     damping = np.asarray(damping, dtype=float)
-    labels = np.full(spring.shape, "neutral", dtype="U15")
-    live = (np.abs(spring) >= NEUTRAL_FLOOR * np.max(np.abs(spring))) & (
-        np.abs(damping) >= NEUTRAL_FLOOR * np.max(np.abs(damping))
-    )
-    labels[live & (damping > 0) & (spring > 0)] = "stable_spring"
-    labels[live & (damping > 0) & (spring < 0)] = "cooling"
-    labels[live & (damping < 0) & (spring > 0)] = "unstable_spring"
-    labels[live & (damping < 0) & (spring < 0)] = "heating"
-    return labels
+    codes = _regime_codes(spring, damping, *_neutral_floors(spring, damping))
+    return _LABELS[codes.ravel()].reshape(codes.shape)  # 0-d codes give a 0-d array too
+
+
+def _neutral_floors(spring, damping):
+    """``NEUTRAL_FLOOR`` times the largest magnitude of each curve (NaN if the
+    curve has a NaN), without a temporary of the curve's size."""
+    return [NEUTRAL_FLOOR * np.maximum(np.max(x), -np.min(x)) for x in (spring, damping)]
+
+
+def _regime_codes(spring, damping, spring_floor, damping_floor) -> np.ndarray:
+    """Indices into ``REGIME_LABELS`` (uint8): neutral where either curve is
+    zero, NaN or below its floor in magnitude, else cooling, heating,
+    stable_spring or unstable_spring as 2*(spring > 0) + (damping < 0)."""
+    live = (np.abs(spring) >= spring_floor) & (np.abs(damping) >= damping_floor)
+    live &= (spring != 0.0) & (damping != 0.0)
+    return np.where(live, 2 * (spring > 0.0) + (damping < 0.0), _NEUTRAL).astype(np.uint8)
 
 
 def _require_linewidth(cavity: EffectiveCavity) -> None:
@@ -317,13 +328,20 @@ def stability_report(
 
 @dataclass(frozen=True)
 class RegimeMap:
-    """Regime labels over a detuning x offset grid (rows indexed by offset)."""
+    """Regimes over a detuning x offset grid (rows indexed by offset): the
+    spring and damping, and per cell a uint8 code into ``REGIME_LABELS``."""
 
     deltas: np.ndarray
     offsets: np.ndarray
     spring: np.ndarray
     damping: np.ndarray
-    labels: np.ndarray
+    codes: np.ndarray
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The regime label strings (dtype ``U15``), built from the codes on
+        each access."""
+        return _LABELS[self.codes]
 
 
 def regime_map(
@@ -333,7 +351,13 @@ def regime_map(
     omega_eval: float | None = None,
 ) -> RegimeMap:
     """Spring/damping signs over a detuning x membrane-offset grid, one row
-    per offset."""
+    per offset.
+
+    The whole offset column is reduced once; the spring and damping are
+    evaluated, and then classified, in blocks of offset rows
+    (:func:`ospring.cavity._blockwise`), so that beside the two float64 and
+    one uint8 per cell of the result the map holds one block's temporaries.
+    """
     deltas = np.asarray(deltas, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     if deltas.size == 0 or offsets.size == 0:
@@ -342,6 +366,16 @@ def regime_map(
     grid = replace(config, offset=offsets.reshape(-1, 1))
     cavity = cav.effective_cavity(grid)
     _require_linewidth(cavity)
-    spring, damping = _spring_damping_sweep(grid, cavity, deltas, omega_eval)
-    labels = classify_regimes(spring, damping)
-    return RegimeMap(deltas, offsets, spring, damping, labels)
+    fields = vars(cavity)
+
+    def sweep(rows):
+        part = EffectiveCavity(**{k: v[rows] if np.ndim(v) else v for k, v in fields.items()})
+        return _spring_damping_sweep(grid, part, deltas, omega_eval)
+
+    spring, damping = cav._blockwise(sweep, offsets.size, deltas.size)
+    floors = _neutral_floors(spring, damping)
+    codes = cav._blockwise(
+        lambda rows: (_regime_codes(spring[rows], damping[rows], *floors),),
+        offsets.size, deltas.size,
+    )[0]
+    return RegimeMap(deltas, offsets, spring, damping, codes)

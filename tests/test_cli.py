@@ -551,12 +551,13 @@ def _reference_and_columnwise(monkeypatch, tmp_path, *argv):
 
 def _synthetic_table(rows):
     """Columns of every kind ``_emit_table`` takes, whose twelve-row pattern
-    of awkward values straddles the first block edge, six rows each side."""
+    of awkward values straddles the first block edge, six rows each side,
+    and the same table with each categorical column spelled out."""
     pattern = (np.arange(rows) - (cli._BLOCK - 6)) % 12
     floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5])
     labels = np.array(["cooling", "heating", 'say "hi"', "héating", "neutral", "stable_spring"] * 2,
                       dtype="U15")
-    header = ["float", "strided", "np_bool", "py_bool", "int", "label"]
+    header = ["float", "strided", "np_bool", "py_bool", "int", "label", "float_codes", "label_codes"]
     columns = [
         floats[pattern],
         (np.linspace(-1.0, 1.0, rows) * (1.0 - 2.0j)).imag,  # non-contiguous view
@@ -564,8 +565,11 @@ def _synthetic_table(rows):
         [i % 2 == 0 for i in pattern.tolist()],
         pattern.astype(np.int64) * 10**15 + 2**53 + 1,
         labels[pattern],
+        cli._Categorical(floats, pattern.astype(np.uint8)),
+        cli._Categorical(list(labels[:6]), np.broadcast_to(pattern[:, None] % 6, (rows, 1))),
     ]
-    return header, columns
+    spelled = columns[:6] + [floats[pattern], labels[pattern % 6]]
+    return header, columns, spelled
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -573,22 +577,50 @@ def test_emitter_bytes_on_synthetic_table(tmp_path, capsys, fmt):
     run = load_config(preset_path("fig2c"))
     config, cavity = run.interferometer()
     for rows in (0, 12, cli._BLOCK, 5 * cli._BLOCK // 2):
-        header, columns = _synthetic_table(rows)
+        header, columns, spelled = _synthetic_table(rows)
         outputs = []
-        for emit in (_reference_emit_table, cli._emit_table):
+        for emit, table in ((_reference_emit_table, spelled), (cli._emit_table, columns)):
             out = tmp_path / f"{emit.__name__}.{fmt}"
-            emit(header, columns, run, config, cavity, str(out), fmt)
+            emit(header, table, run, config, cavity, str(out), fmt)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], rows
         if fmt == "json":
             payload = json.loads(outputs[1])
             assert str(payload["float"]) == str(columns[0].tolist())  # nan, inf, -0.0 spelled
-            assert payload["label"] == columns[-1].tolist()
+            assert str(payload["float_codes"]) == str(columns[0].tolist())
+            assert payload["label"] == columns[5].tolist()
     # the last table again, to stdout: no --out and no [output] path
     to_stdout = replace(run, output=replace(run.output, path=None))
     capsys.readouterr()
     cli._emit_table(header, columns, to_stdout, config, cavity, None, fmt)
     assert capsys.readouterr().out.encode("utf-8") == outputs[1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("short", range(8))
+def test_unequal_columns_raise_before_output(tmp_path, fmt, short):
+    # CSV once wrote rows up to the shortest column, and JSON every column whole
+    run = load_config(preset_path("fig2c"))
+    config, cavity = run.interferometer()
+    header, columns, _ = _synthetic_table(24)
+    columns[short] = _synthetic_table(23)[1][short]
+    out = tmp_path / f"table.{fmt}"
+    with pytest.raises(ValueError, match="differ in length"):
+        cli._emit_table(header, columns, run, config, cavity, str(out), fmt)
+    assert not out.exists()
+
+
+def test_unequal_columns_are_a_validation_exit(monkeypatch, tmp_path, capsys):
+    emit = cli._emit_table
+
+    def emit_short(header, columns, *args):
+        emit(header, [columns[0][:-1], *columns[1:]], *args)
+
+    monkeypatch.setattr(cli, "_emit_table", emit_short)
+    out = tmp_path / "out.csv"
+    assert run_cli("stability", "--config", preset_path("fig2c"), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("ospring: table columns differ in length")
+    assert not out.exists()
 
 
 def _emit_peak(tmp_path, rows):
@@ -611,10 +643,64 @@ def _emit_peak(tmp_path, rows):
 
 def test_emission_memory_is_bounded(tmp_path):
     small, large = _emit_peak(tmp_path, 50_000), _emit_peak(tmp_path, 200_000)
-    # a block's cell and row strings take ~230 bytes a row, ~0.9 MiB in all;
+    # one block of cell and row strings, ~0.4 MiB here;
     # the whole 200,000-row table would take ~45 MiB
     assert small < 4 * 2**20 and large < 4 * 2**20, (small, large)
     assert large - small < cli._BLOCK * 256, (small, large)  # less than one block's worth
+
+
+MAP_MEMORY_CFG = """\
+[physical]
+wavelength_nm = 1064
+input_power_mw = 200
+arm_length_m = 0.05
+half_arm_m = 0.027
+sr_distance_m = 0.01
+membrane_power_reflectivity = 0.2
+sr_power_transmissivity = 3e-4
+bs_asymmetry = 0.0
+dark_port_index = 1
+offset_xi_lambda0 = 0.0
+detuning_over_gamma = 0.0
+mass_kg = 8e-11
+mech_freq_hz = 130000
+mech_damping_hz = 0.1
+
+[sweep]
+variable = detuning_over_gamma
+start = -3
+stop = 3
+points = {n}
+
+[sweep2]
+variable = offset_xi_lambda0
+start = -0.015
+stop = 0.015
+points = {n}
+"""
+
+
+def _map_peak(tmp_path, n, fmt):
+    """tracemalloc's peak during one ``map`` run on an n x n grid."""
+    cfg = write_cfg(tmp_path, MAP_MEMORY_CFG.format(n=n), f"map{n}.cfg")
+    out = tmp_path / f"map{n}.{fmt}"
+    tracemalloc.start()
+    try:
+        assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_memory_per_cell(tmp_path, fmt):
+    small, large = _map_peak(tmp_path, 60, fmt), _map_peak(tmp_path, 300, fmt)
+    per_cell = (large - small) / (300**2 - 60**2)
+    # the map keeps two float64 and one uint8 per cell (17 B) beside a block's
+    # working memory; whole-grid temporaries, U15 labels (60 B a cell) and
+    # tiled axis columns took ~111 B a cell
+    assert per_cell <= 48, per_cell
 
 
 EMITTING_COMMANDS = (
@@ -642,18 +728,52 @@ def test_emitter_bytes_on_presets(monkeypatch, tmp_path, name, fmt):
     assert {"darkport", "cavity", own} <= accepted
 
 
+def _reference_map(run, config, cavity, out, fmt):
+    """The map table as whole columns (tiled and repeated axes, label
+    strings), written by the reference emitter."""
+    by_variable = {sweep.variable: sweep.grid() for sweep in run.sweeps}
+    deltas = by_variable["detuning_over_gamma"] * cavity.half_linewidth
+    offsets = by_variable["offset_xi_lambda0"] * config.geometry.wavelength
+    grid = st.regime_map(config, deltas, offsets, 2.0 * math.pi * run.physical.get("mech_freq_hz", 0.0))
+    spring, damping = grid.spring.ravel(), grid.damping.ravel()
+    if run.output.normalize:
+        spring, damping = (x / np.max(np.abs(x)) for x in (spring, damping))
+    columns = [
+        np.tile(deltas, offsets.size),
+        np.repeat(offsets, deltas.size),
+        spring,
+        damping,
+        grid.labels.ravel(),
+    ]
+    header = ["delta", "xi", "spring", "damping", "regime_label"]
+    _reference_emit_table(header, columns, run, config, cavity, out, fmt)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("offsets", [(0.0003, 0.003, 5), (0.001, 0.001, 3)])
-def test_emitter_bytes_on_map(monkeypatch, tmp_path, offsets, fmt):
-    start, stop, points = offsets
-    text = Path(preset_path("fig3d")).read_text().replace("points = 241", "points = 41")
-    text += f"\n[sweep2]\nvariable = offset_xi_lambda0\nstart = {start}\nstop = {stop}\npoints = {points}\n"
+@pytest.mark.parametrize(
+    "offsets",
+    # (start, stop, points) of the offset sweep, the detuning points and
+    # [output] normalize; the 97 x 101 grids span two row blocks of
+    # regime_map and ~10 blocks of emission, and 97-cell rows divide neither
+    [
+        (0.0003, 0.003, 5, 41, "true"),
+        (0.001, 0.001, 3, 41, "true"),
+        (-0.004, 0.004, 101, 97, "true"),
+        (-0.004, 0.004, 101, 97, "false"),
+    ],
+)
+def test_emitter_bytes_on_map(tmp_path, offsets, fmt):
+    start, stop, n_x, points, normalize = offsets
+    text = Path(preset_path("fig3d")).read_text().replace("points = 241", f"points = {points}")
+    text = text.replace("normalize = true", f"normalize = {normalize}")
+    text += f"\n[sweep2]\nvariable = offset_xi_lambda0\nstart = {start}\nstop = {stop}\npoints = {n_x}\n"
     cfg = write_cfg(tmp_path, text)
-    reference, columnwise = _reference_and_columnwise(
-        monkeypatch, tmp_path, "map", "--config", cfg, "--format", fmt
-    )
-    assert reference[0] == 0
-    assert reference == columnwise
+    out = tmp_path / "columnwise"
+    assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(out)) == 0
+    run = load_config(cfg)
+    config, cavity = run.interferometer()
+    _reference_map(run, config, cavity, str(tmp_path / "reference"), fmt)
+    assert out.read_bytes() == (tmp_path / "reference").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -555,11 +555,33 @@ def test_regime_map_preset_ratio_rows(narrow_config):
     assert has_stable == [False, True, True, True]
 
 
-def test_finite_frequency_regime_map_rows_match_single_offset_sweeps(narrow_config):
+def _map_in_row_blocks(monkeypatch, config, deltas, offsets, omega_eval):
+    """regime_map's result and the offset rows of each block it evaluated."""
+    blocks = []
+    sweep = st._spring_damping_sweep
+
+    def recording(config, cavity, deltas, omega_eval):
+        blocks.append(np.shape(cavity.half_linewidth)[0])
+        return sweep(config, cavity, deltas, omega_eval)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(st, "_spring_damping_sweep", recording)
+        grid = st.regime_map(config, deltas, offsets, omega_eval)
+    return grid, blocks
+
+
+def _block_spanning_offsets(lo, hi, n_d):
+    """Offsets for two whole row blocks of n_d-cell rows and a shorter third."""
+    rows = cav._BLOCK // n_d
+    return np.linspace(lo, hi, 2 * rows + rows // 3) * WAVELENGTH, [rows, rows, rows // 3]
+
+
+def test_finite_frequency_regime_map_rows_match_single_offset_sweeps(narrow_config, monkeypatch):
     gamma = cav.effective_cavity(narrow_config).half_linewidth
     deltas = np.linspace(-2 * gamma, 2 * gamma, 41)
-    offsets = np.linspace(0.0, 0.02, 7) * WAVELENGTH
-    grid = st.regime_map(narrow_config, deltas, offsets, 0.5 * gamma)
+    offsets, expected_blocks = _block_spanning_offsets(0.0, 0.02, deltas.size)
+    grid, blocks = _map_in_row_blocks(monkeypatch, narrow_config, deltas, offsets, 0.5 * gamma)
+    assert blocks == expected_blocks
     for i, x in enumerate(offsets):
         row = replace(narrow_config, offset=float(x))
         spring, damping = st._spring_damping_sweep(
@@ -567,21 +589,24 @@ def test_finite_frequency_regime_map_rows_match_single_offset_sweeps(narrow_conf
         )
         assert np.array_equal(grid.spring[i], spring)
         assert np.array_equal(grid.damping[i], damping)
+    assert np.array_equal(grid.labels, st.classify_regimes(grid.spring, grid.damping))
     with pytest.raises(ValueError):
         st.regime_map(narrow_config, np.array([]), offsets, 0.5 * gamma)
 
 
-def test_quasi_static_regime_map_rows_match_single_offset_sweeps(narrow_config):
+def test_quasi_static_regime_map_rows_match_single_offset_sweeps(narrow_config, monkeypatch):
     gamma = cav.effective_cavity(narrow_config).half_linewidth
     deltas = np.linspace(-2 * gamma, 2 * gamma, 41)
-    offsets = np.linspace(-0.02, 0.02, 7) * WAVELENGTH
-    grid = st.regime_map(narrow_config, deltas, offsets)
+    offsets, expected_blocks = _block_spanning_offsets(-0.02, 0.02, deltas.size)
+    grid, blocks = _map_in_row_blocks(monkeypatch, narrow_config, deltas, offsets, None)
+    assert blocks == expected_blocks
     assert grid.spring.shape == grid.damping.shape == (offsets.size, deltas.size)
     for i, x in enumerate(offsets):
         row = replace(narrow_config, offset=float(x))
         spring, damping = st._spring_damping_sweep(row, cav.effective_cavity(row), deltas, None)
         assert np.array_equal(grid.spring[i], spring)
         assert np.array_equal(grid.damping[i], damping)
+    assert np.array_equal(grid.labels, st.classify_regimes(grid.spring, grid.damping))
 
 
 def test_classify_regimes_neutral_floor():
@@ -589,3 +614,45 @@ def test_classify_regimes_neutral_floor():
     damping = np.array([1.0, 1.0, 1.0, -1e-15])
     labels = st.classify_regimes(spring, damping)
     assert list(labels) == ["stable_spring", "cooling", "neutral", "neutral"]
+
+
+def _reference_labels(spring, damping):
+    """The label strings assigned mask by mask, as before the uint8 codes."""
+    spring = np.asarray(spring, dtype=float)
+    damping = np.asarray(damping, dtype=float)
+    labels = np.full(spring.shape, "neutral", dtype="U15")
+    live = (np.abs(spring) >= st.NEUTRAL_FLOOR * np.max(np.abs(spring))) & (
+        np.abs(damping) >= st.NEUTRAL_FLOOR * np.max(np.abs(damping))
+    )
+    labels[live & (damping > 0) & (spring > 0)] = "stable_spring"
+    labels[live & (damping > 0) & (spring < 0)] = "cooling"
+    labels[live & (damping < 0) & (spring > 0)] = "unstable_spring"
+    labels[live & (damping < 0) & (spring < 0)] = "heating"
+    return labels
+
+
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-13, -1e-13, 1.0, -1.0, 3.5, -2.0, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hst.lists(hst.tuples(hst.sampled_from(AWKWARD), hst.sampled_from(AWKWARD)), min_size=1, max_size=40),
+    hst.sampled_from([1.0, 1e-300, 1e300]),
+)
+def test_classify_regimes_matches_mask_reference(pairs, scale):
+    spring, damping = (np.array(column) * scale for column in zip(*pairs))
+    with np.errstate(all="ignore"):
+        labels = st.classify_regimes(spring, damping)
+        reference = _reference_labels(spring, damping)
+    assert labels.dtype == np.dtype("U15") and np.array_equal(labels, reference)
+
+
+def test_regime_map_stores_codes_and_builds_labels(narrow_config):
+    gamma = cav.effective_cavity(narrow_config).half_linewidth
+    deltas = np.linspace(-2 * gamma, 2 * gamma, 41)
+    grid = st.regime_map(narrow_config, deltas, np.linspace(0.0, 0.02, 9) * WAVELENGTH, 0.5 * gamma)
+    assert grid.codes.dtype == np.uint8 and grid.codes.shape == (9, 41)
+    assert grid.labels.dtype == np.dtype("U15")
+    assert np.array_equal(grid.labels, _reference_labels(grid.spring, grid.damping))
+    assert np.array_equal(np.array(st.REGIME_LABELS)[grid.codes], grid.labels)
+    assert st.classify_regimes(1.0, -2.0).shape == ()  # a 0-d input gives a 0-d array
