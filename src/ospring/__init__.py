@@ -15,7 +15,6 @@ from .transfer_optics import (
     effective_mirror,
     field_matrices,
     membrane_matrix,
-    msi_matrix,
 )
 from .cavity import (
     EffectiveCavity,

@@ -273,16 +273,25 @@ class EffectiveCavity:
     ``half_linewidth`` is the narrow-band sum of the recycling-mirror and
     membrane contributions; ``half_linewidth_exact`` is c*(1 - R_sr*|rho2|)/(2*Lc),
     formed as c*(T_sr^2/(1 + R_sr) + R_sr*tau^2/(1 + |rho2|))/(2*Lc) with |rho2| =
-    sqrt(1 - tau^2).  Fields are arrays where the offset or ``srm_detuning`` is one.
+    sqrt(1 - tau^2).  Fields are arrays where the offset or ``srm_detuning`` is one;
+    the two sums are properties, so no field repeats another.
     """
 
-    detuning: float
     srm_detuning: float
     membrane_detuning: float
-    half_linewidth: float
     half_linewidth_exact: float
     srm_half_linewidth: float
     membrane_half_linewidth: float
+
+    @property
+    def detuning(self):
+        """Total detuning, srm_detuning + membrane_detuning."""
+        return self.srm_detuning + self.membrane_detuning
+
+    @property
+    def half_linewidth(self):
+        """Narrow-band half-linewidth, srm_half_linewidth + membrane_half_linewidth."""
+        return self.srm_half_linewidth + self.membrane_half_linewidth
 
     @classmethod
     def from_rates(
@@ -293,13 +302,10 @@ class EffectiveCavity:
         membrane_detuning: float = 0.0,
     ) -> "EffectiveCavity":
         """Synthetic cavity from its rate decomposition (for sweeps and tests)."""
-        gamma = srm_half_linewidth + membrane_half_linewidth
         return cls(
-            detuning=detuning,
             srm_detuning=detuning - membrane_detuning,
             membrane_detuning=membrane_detuning,
-            half_linewidth=gamma,
-            half_linewidth_exact=gamma,
+            half_linewidth_exact=srm_half_linewidth + membrane_half_linewidth,
             srm_half_linewidth=srm_half_linewidth,
             membrane_half_linewidth=membrane_half_linewidth,
         )
@@ -340,10 +346,8 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     membrane_detuning = _membrane_detuning(config, w)
 
     return EffectiveCavity(
-        detuning=config.srm_detuning + membrane_detuning,
         srm_detuning=config.srm_detuning,
         membrane_detuning=membrane_detuning,
-        half_linewidth=gamma_sr + gamma_m,
         half_linewidth_exact=C_LIGHT * deficit / (2.0 * lc),
         srm_half_linewidth=gamma_sr,
         membrane_half_linewidth=gamma_m,

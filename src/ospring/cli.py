@@ -34,7 +34,7 @@ from . import cavity as cav
 from . import noise as noi
 from . import stability as st
 from . import transfer_optics as to
-from .params import C_LIGHT, BeamsplitterParams, Geometry, MirrorParams
+from .params import C_LIGHT
 from .runconfig import (
     DETUNING_KEYS,
     OMEGA_SWEEP_KEYS,
@@ -112,8 +112,17 @@ def _cells(arr: np.ndarray, as_json: bool) -> list[str]:
     return cells
 
 
-def _blocks(column, as_json: bool):
-    """The cell strings of a ``_column``, ``_BLOCK`` rows at a time."""
+def _peak(column) -> float | None:
+    """The peak |value| of a float column, without an ``np.abs`` copy, as the
+    divisor that normalizes it; None where it is not positive (an all-zero
+    or a NaN column stays as it is)."""
+    peak = max(np.max(column), -np.min(column))
+    return peak if peak > 0.0 else None
+
+
+def _blocks(column, as_json: bool, peak=None):
+    """The cell strings of a ``_column``, ``_BLOCK`` rows at a time, each
+    block divided by ``peak`` when one is given."""
     if isinstance(column, _Categorical):
         texts = _cells(column.categories, as_json)
         rows = column.codes.flat
@@ -121,33 +130,38 @@ def _blocks(column, as_json: bool):
             yield list(map(texts.__getitem__, rows[start : start + _BLOCK].tolist()))
         return
     for start in range(0, len(column), _BLOCK):
-        yield _cells(column[start : start + _BLOCK], as_json)
+        block = column[start : start + _BLOCK]
+        yield _cells(block if peak is None else block / peak, as_json)
 
 
 def _emit_table(
-    header, columns, run: RunConfig, config, cavity, out: str | None, fmt: str | None
+    header, columns, run: RunConfig, config, cavity, out: str | None, fmt: str | None, normalized=()
 ) -> None:
     """Write a table of equally long columns: arrays, sequences or
-    ``_Categorical`` columns."""
+    ``_Categorical`` columns.  Under ``[output] normalize`` the float columns
+    named in ``normalized`` are written divided by their peak |value|."""
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
     columns = [_column(column) for column in columns]
     lengths = sorted({len(column) for column in columns})
     if len(lengths) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
+    if not run.output.normalize:
+        normalized = ()
+    peaks = [_peak(c) if name in normalized else None for name, c in zip(header, columns)]
     if fmt == "csv":
         with _open(path) as dest:
             _write_text(dest, ",".join(header) + "\n")
-            for block in zip(*(_blocks(column, False) for column in columns)):
+            for block in zip(*(_blocks(c, False, peak) for c, peak in zip(columns, peaks))):
                 _write_text(dest, "\n".join(map(",".join, zip(*block))) + "\n")
         return
     # the layout json.dumps(payload, indent=2) writes, one array element per line
     prefix = json.dumps({"meta": _meta(run, config, cavity)}, indent=2)[: -len("\n}")]
     with _open(path) as dest:
         _write_text(dest, prefix)
-        for name, column in zip(header, columns):
+        for name, column, peak in zip(header, columns, peaks):
             _write_text(dest, f",\n  {encode_basestring_ascii(name)}: [")
-            for i, cells in enumerate(_blocks(column, True)):
+            for i, cells in enumerate(_blocks(column, True, peak)):
                 _write_text(dest, (",\n    " if i else "\n    ") + ",\n    ".join(cells))
             _write_text(dest, "\n  ]" if len(column) else "]")
         _write_text(dest, "\n}\n")
@@ -185,16 +199,6 @@ def _meta(run: RunConfig, config, cavity) -> dict:
         meta["mech_freq_rad_s"] = oscillator.resonance_frequency
         meta["mech_damping_rad_s"] = oscillator.damping_rate
     return meta
-
-
-def _normalize_columns(columns, names, targets):
-    out = list(columns)
-    for i, name in enumerate(names):
-        if name in targets:
-            peak = np.max(np.abs(out[i]))
-            if peak > 0.0:
-                out[i] = np.asarray(out[i]) / peak
-    return out
 
 
 def _single_sweep(run: RunConfig, kinds) -> "SweepSpec":
@@ -277,6 +281,8 @@ def cmd_spectrum(run: RunConfig, config, cavity, args) -> int:
 def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
     gamma = cavity.half_linewidth
     sweep = _single_sweep(run, DETUNING_KEYS + OMEGA_SWEEP_KEYS)
+    if args.method != "exact":
+        st._require_linewidth(cavity)  # the narrow-band laws divide by gamma^2 + delta^2
     raw = sweep.grid()
     shared = ba._gain_inputs(config)
 
@@ -307,9 +313,7 @@ def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
 
     header = ["sweep_var", "k_re", "k_im", "spring_n_per_m", "damping_ns_per_m"]
     columns = [raw, kernel.real, kernel.imag, spring, damping]
-    if run.output.normalize:
-        columns = _normalize_columns(columns, header, set(header[1:]))
-    _emit_table(header, columns, run, config, cavity, args.out, args.format)
+    _emit_table(header, columns, run, config, cavity, args.out, args.format, header[1:])
     return 0
 
 
@@ -322,9 +326,7 @@ def cmd_stability(run: RunConfig, config, cavity, args) -> int:
 
     header = ["delta_rad_s", "spring", "damping", "regime_label", "rh_stable"]
     columns = [report.deltas, report.spring, report.damping, report.labels, report.rh_verdicts]
-    if run.output.normalize:
-        columns = _normalize_columns(columns, header, {"spring", "damping"})
-    _emit_table(header, columns, run, config, cavity, args.out, args.format)
+    _emit_table(header, columns, run, config, cavity, args.out, args.format, header[1:3])
     return 0
 
 
@@ -353,9 +355,7 @@ def cmd_map(run: RunConfig, config, cavity, args) -> int:
         grid.damping.ravel(),
         _Categorical(st.REGIME_LABELS, grid.codes),
     ]
-    if run.output.normalize:
-        columns = _normalize_columns(columns, header, {"spring", "damping"})
-    _emit_table(header, columns, run, config, cavity, args.out, args.format)
+    _emit_table(header, columns, run, config, cavity, args.out, args.format, header[2:4])
     return 0
 
 
@@ -369,23 +369,28 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
         except Exception as exc:  # a crash is reported as such, not as a missed bound
             lines.append(f"ERROR: {name}: {type(exc).__name__}: {exc}")
 
-    def unitarity():
-        rng = np.random.default_rng(20240801)
-        geom = config.geometry
-        worst = 0.0
-        for _ in range(200):
-            membrane = MirrorParams.from_power_reflectivity(rng.uniform(0.0, 1.0))
-            bs = BeamsplitterParams(rng.uniform(-0.99, 0.99))
-            geometry = Geometry(
-                geom.arm_length, geom.half_arm, geom.sr_distance, geom.wavelength,
-                rng.uniform(-1.0, 1.0) * geom.wavelength,
-            )
-            k = geom.wavenumber * rng.uniform(0.5, 2.0)
-            m_ms, rho1, rho2, tau = to.msi_matrix(geometry, membrane, bs, k)
-            worst = max(worst, float(np.max(np.abs(m_ms.conj().T @ m_ms - np.eye(2)))))
-            worst = max(worst, abs(abs(rho2) ** 2 + abs(tau) ** 2 - 1.0))
-            worst = max(worst, abs(rho2 + np.conj(rho1)))
-        return worst < 1e-12
+    omega = np.linspace(-3.0, 3.0, 201) * max(gamma, 1.0)
+
+    def excess_closure():
+        # the carrier excess (tau, w) at the membrane phases kernel_exact visits
+        # over +-3 gamma, k0*x + h and k0*x + 2h with h = omega*delta_l/(2c),
+        # composed from e0 as the kernel composes them: energy closes,
+        # |rho2_dp*(1 + w)|^2 + tau^2 = 1, and rho2 and tau match the bare
+        # interferometer at the literal phases; the element matrices are unitary
+        ph = cav._phases(config)
+        h = 0.5 * omega / C_LIGHT * ph.delta_l
+        e_h = cav.expm1i(h)
+        tau, w = cav._excess(ph.dark, cav._compose(ph.e0, np.concatenate((e_h, e_h * (2.0 + e_h)))))
+        rho2 = ph.dark.rho2 * (1.0 + w)
+        literal = cav.imbalance_phase(config) + np.concatenate((h, 2.0 * h))
+        _, rho2_bare, tau_bare = _bare_mirror(config, literal)
+        elements = (to.beamsplitter_matrix(config.bs), to.membrane_matrix(config.membrane))
+        return max(
+            np.max(np.abs(np.abs(rho2) ** 2 + tau**2 - 1.0)),
+            np.max(np.abs(rho2 - rho2_bare)),
+            np.max(np.abs(tau - tau_bare)),
+            *(np.max(np.abs(m.conj().T @ m - np.eye(2))) for m in elements),
+        ) <= 1e-12
 
     def dark_port():
         return abs(complex(_bare_mirror(config)[2])) < 1e-12
@@ -410,7 +415,6 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
         return abs(cavity.half_linewidth_exact - gamma) <= bound * gamma
 
     def noise_closure():
-        omega = np.linspace(-3.0, 3.0, 201) * max(gamma, 1.0)
         spectrum = noi.back_action_spectrum(config, omega[omega != 0.0])
         closure = np.max(
             np.abs(spectrum.total - spectrum.laser_part - spectrum.detector_part)
@@ -441,7 +445,7 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
         peak = np.max(np.abs(ba.kernel_exact(swept, omega)), axis=0)
         return np.max(np.abs(exact - approx) / peak) < 0.05
 
-    check("unitarity_and_energy_closure", unitarity)
+    check("unitarity_and_energy_closure", excess_closure)
     check("dark_port_residual", dark_port)
     check("carrier_loop_fixed_point", carrier_fixed_point)
     check("narrowband_linewidth_gap", linewidth_gap)

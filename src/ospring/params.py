@@ -83,23 +83,21 @@ class Geometry:
     half_arm        mean folding-mirror -> membrane distance
     sr_distance     beamsplitter -> recycling-mirror distance
     wavelength      laser carrier wavelength
-    arm_imbalance   path difference between the two membrane half-paths;
-                    read only by `msi_matrix`, the tuned model derives it
-                    from the dark-port condition.
+
+    The path difference between the two membrane half-paths is not part of
+    the layout: the operating point fixes it as the dark-port imbalance plus
+    the configuration's offset.
     """
 
     arm_length: float
     half_arm: float
     sr_distance: float
     wavelength: float
-    arm_imbalance: float = 0.0
 
     def __post_init__(self):
         for name in ("arm_length", "half_arm", "sr_distance", "wavelength"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if abs(self.arm_imbalance) / 2.0 >= self.half_arm:
-            raise ValueError("arm imbalance larger than the half-arm length")
 
     @property
     def cavity_length(self) -> float:

@@ -157,18 +157,13 @@ class RunConfig:
             offset=p["offset_xi_lambda0"] * wavelength,
         )
         # one reduction: it gives the linewidth unit of the detuning, and the
-        # recycling tuning moves only its two detunings
+        # recycling tuning moves only its srm_detuning (the total follows)
         cavity = cav.effective_cavity(base)
         total = p.get("detuning_rad_s")
         if total is None:
             total = p["detuning_over_gamma"] * cavity.half_linewidth
         config = cav.with_total_detuning(base, total)
-        srm_detuning = config.srm_detuning
-        return config, replace(
-            cavity,
-            detuning=srm_detuning + cavity.membrane_detuning,
-            srm_detuning=srm_detuning,
-        )
+        return config, replace(cavity, srm_detuning=config.srm_detuning)
 
     def oscillator(self) -> MechanicalOscillator | None:
         if "mass_kg" not in self.physical:

@@ -13,16 +13,17 @@ operating point, only the sideband part k -> omega/c taken from the
 macroscopic lengths) and pass them here, as the independent matrix path
 the closed forms are checked against; the function stays public for that
 path and for the benchmark harness, which times it by name.
-:func:`msi_matrix` takes its phases literally as k times a macroscopic
-length, for the algebraic identities (unitarity, energy closure) where the
-absolute phase is irrelevant.
+:func:`effective_mirror` takes its imbalance phase literally; ``validate``
+and the tests use it as the element-algebra reference for the closed-form
+carrier excess of :mod:`ospring.cavity`.  The package propagates no phase
+literally: every phase it runs is pinned to the operating point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .params import BeamsplitterParams, Geometry, MirrorParams
+from .params import BeamsplitterParams, MirrorParams
 
 DEGENERACY_FLOOR = 1e-14
 
@@ -59,18 +60,6 @@ def effective_mirror(membrane: MirrorParams, bs: BeamsplitterParams, imbalance_p
     rho2 = rm * (tb**2 * phase - rb**2 / phase) - 2.0 * tm * rb * tb
     tau = rm * rb * tb * (phase + 1.0 / phase) + tm * (tb**2 - rb**2)
     return rho1, rho2, tau
-
-
-def msi_matrix(geom: Geometry, membrane: MirrorParams, bs: BeamsplitterParams, k: float):
-    """Transfer matrix of the non-recycled interferometer at wavenumber k.
-
-    Returns ``(m_ms, rho1, rho2, tau)`` with
-    m_ms = exp(2ik(arm_length + half_arm)) * [[rho1, tau], [tau, rho2]].
-    """
-    rho1, rho2, tau = effective_mirror(membrane, bs, k * geom.arm_imbalance)
-    prefactor = np.exp(2j * k * (geom.arm_length + geom.half_arm))
-    m_ms = prefactor * np.array([[rho1, tau], [tau, rho2]])
-    return m_ms, rho1, rho2, tau
 
 
 def field_matrices(

@@ -56,7 +56,8 @@ def asym_config(geometry):
 
 
 def random_lossless(rng):
-    """Random lossless mirror / beamsplitter / geometry draw."""
+    """Random lossless mirror / beamsplitter / geometry draw, with an arm
+    imbalance (m) for :func:`msi_matrix`."""
     membrane = MirrorParams.from_power_reflectivity(rng.uniform(0.0, 1.0))
     bs = BeamsplitterParams(rng.uniform(-0.99, 0.99))
     geometry = Geometry(
@@ -64,9 +65,22 @@ def random_lossless(rng):
         half_arm=rng.uniform(0.01, 1.0),
         sr_distance=rng.uniform(0.005, 0.5),
         wavelength=WAVELENGTH,
-        arm_imbalance=rng.uniform(-1.0, 1.0) * WAVELENGTH,
     )
-    return membrane, bs, geometry
+    return membrane, bs, geometry, rng.uniform(-1.0, 1.0) * WAVELENGTH
+
+
+def msi_matrix(geom, membrane, bs, k, imbalance):
+    """Transfer matrix of the non-recycled interferometer at wavenumber k,
+    every phase taken literally as k times a length; ``imbalance`` is the
+    path difference between the two membrane half-paths.
+
+    Returns ``(m_ms, rho1, rho2, tau)`` with
+    m_ms = exp(2ik(arm_length + half_arm)) * [[rho1, tau], [tau, rho2]].
+    """
+    rho1, rho2, tau = to.effective_mirror(membrane, bs, k * imbalance)
+    prefactor = np.exp(2j * k * (geom.arm_length + geom.half_arm))
+    m_ms = prefactor * np.array([[rho1, tau], [tau, rho2]])
+    return m_ms, rho1, rho2, tau
 
 
 def random_config(rng, geometry, max_offset=0.02, max_tsr_sq=0.01):

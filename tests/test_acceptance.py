@@ -19,7 +19,7 @@ from ospring.cavity import EffectiveCavity
 from ospring.params import BeamsplitterParams, MechanicalOscillator, MirrorParams
 from ospring.presets import PRESET_SUBCOMMANDS, preset_path
 
-from conftest import WAVELENGTH, random_config, random_lossless
+from conftest import WAVELENGTH, msi_matrix, random_config, random_lossless
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -35,9 +35,9 @@ def test_criterion_01_unitarity_suite():
     worst_unitarity = 0.0
     worst_energy = 0.0
     for _ in range(1000):
-        membrane, bs, geom = random_lossless(rng)
+        membrane, bs, geom, imbalance = random_lossless(rng)
         k = geom.wavenumber * rng.uniform(0.5, 2.0)
-        m_ms, _, rho2, tau = to.msi_matrix(geom, membrane, bs, k)
+        m_ms, _, rho2, tau = msi_matrix(geom, membrane, bs, k, imbalance)
         worst_unitarity = max(
             worst_unitarity, float(np.max(np.abs(m_ms.conj().T @ m_ms - eye)))
         )

@@ -378,6 +378,15 @@ def test_validate_catches_a_wrong_carrier(tmp_path, monkeypatch, fault, check):
     assert code == 2 and f"FAIL: {check}" in lines
 
 
+@pytest.mark.parametrize("name", ["fig2c", "fig4b"])
+def test_validate_catches_a_wrong_sideband_composition(tmp_path, monkeypatch, name):
+    # the sideband phase added to the operating point's without the cross term
+    # e_a*e_b: off by (k0*x)*h, 1e-12 to 1e-8 on the presets, which no other check sees
+    monkeypatch.setattr(cav, "_compose", lambda e_a, e_b: e_a + e_b)
+    code, lines = run_validate(tmp_path, name)
+    assert code == 2 and "FAIL: unitarity_and_energy_closure" in lines
+
+
 def test_validate_catches_a_wrong_exact_linewidth(tmp_path, monkeypatch):
     # the recycling mirror's share of the exact width taken with T_sr^2, where
     # 1 - R_sr = T_sr^2/(1 + R_sr) belongs
@@ -486,6 +495,19 @@ def test_zero_linewidth_stability_is_validation_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("method", ["narrowband", "freemass"])
+def test_zero_linewidth_backaction_is_validation_exit(tmp_path, capsys, method, fmt):
+    # both laws divide by gamma^2 + delta^2: refused before any output is opened
+    out = tmp_path / "out"
+    argv = ["--config", _zero_linewidth_cfg(tmp_path), "--format", fmt, "--out", str(out)]
+    assert run_cli("backaction", "--method", method, *argv) == 2
+    assert capsys.readouterr() == (
+        "", "ospring: the narrow-band laws need a positive half-linewidth\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_zero_linewidth_map_is_validation_exit(tmp_path, capsys, fmt):
     sweep2 = "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0\nstop = 0\npoints = 3\n"
     cfg = _zero_linewidth_cfg(tmp_path, sweep2)
@@ -517,9 +539,16 @@ def _reference_fmt(value) -> str:
     return str(value)
 
 
-def _reference_emit_table(header, columns, run, config, cavity, out, fmt):
+def _reference_emit_table(header, columns, run, config, cavity, out, fmt, normalized=()):
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
+    if run.output.normalize:  # each named column by its peak |value|, whole
+        columns = list(columns)
+        for i, name in enumerate(header):
+            if name in normalized:
+                peak = np.max(np.abs(columns[i]))
+                if peak > 0.0:
+                    columns[i] = np.asarray(columns[i]) / peak
     if fmt == "csv":
         lines = [",".join(header)]
         rows = zip(*columns)
@@ -677,12 +706,16 @@ variable = offset_xi_lambda0
 start = -0.015
 stop = 0.015
 points = {n}
+
+[output]
+normalize = {normalize}
 """
 
 
-def _map_peak(tmp_path, n, fmt):
+def _map_peak(tmp_path, n, fmt, normalize="false"):
     """tracemalloc's peak during one ``map`` run on an n x n grid."""
-    cfg = write_cfg(tmp_path, MAP_MEMORY_CFG.format(n=n), f"map{n}.cfg")
+    text = MAP_MEMORY_CFG.format(n=n, normalize=normalize)
+    cfg = write_cfg(tmp_path, text, f"map{n}.cfg")
     out = tmp_path / f"map{n}.{fmt}"
     tracemalloc.start()
     try:
@@ -695,12 +728,18 @@ def _map_peak(tmp_path, n, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_map_memory_per_cell(tmp_path, fmt):
-    small, large = _map_peak(tmp_path, 60, fmt), _map_peak(tmp_path, 300, fmt)
-    per_cell = (large - small) / (300**2 - 60**2)
+    def per_cell(normalize):
+        small = _map_peak(tmp_path, 60, fmt, normalize)
+        large = _map_peak(tmp_path, 300, fmt, normalize)
+        return (large - small) / (300**2 - 60**2)
+
+    plain, normalized = per_cell("false"), per_cell("true")
     # the map keeps two float64 and one uint8 per cell (17 B) beside a block's
     # working memory; whole-grid temporaries, U15 labels (60 B a cell) and
     # tiled axis columns took ~111 B a cell
-    assert per_cell <= 48, per_cell
+    assert plain <= 48, plain
+    # normalization divides each emitted block and copies no column (16 B a cell)
+    assert normalized <= plain + 4, (plain, normalized)
 
 
 EMITTING_COMMANDS = (

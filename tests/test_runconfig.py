@@ -152,8 +152,9 @@ def test_detuning_in_linewidth_units(tmp_path):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_interferometer_cavity_is_the_reduction_of_its_config(name):
-    # the base reduction with its two detunings retuned has every bit of a
-    # second reduction of the resolved configuration
+    # the base reduction with its srm_detuning retuned has every bit of a
+    # second reduction of the resolved configuration (the total detuning
+    # and the narrow-band width are sums of these fields)
     config, cavity = rc.load_config(preset_path(name)).interferometer()
     assert config.srm_detuning == cavity.srm_detuning
     reduced = cav.effective_cavity(config)

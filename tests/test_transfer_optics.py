@@ -9,7 +9,7 @@ from ospring import cavity as cav
 from ospring import transfer_optics as to
 from ospring.params import BeamsplitterParams, Geometry, InterferometerConfig, MirrorParams
 
-from conftest import WAVELENGTH, random_config, random_lossless, sideband_propagators
+from conftest import WAVELENGTH, msi_matrix, random_config, random_lossless, sideband_propagators
 
 
 def test_beamsplitter_balanced():
@@ -65,9 +65,10 @@ def test_mirror_lossless_guard():
 
 
 def test_msi_dark_port_balanced_quarter_wave():
-    geom = Geometry(0.05, 0.027, 0.01, WAVELENGTH, arm_imbalance=WAVELENGTH / 4.0)
+    geom = Geometry(0.05, 0.027, 0.01, WAVELENGTH)
     membrane = MirrorParams.from_power_reflectivity(0.17)
-    _, _, rho2, tau = to.msi_matrix(geom, membrane, BeamsplitterParams(0.0), geom.wavenumber)
+    bs = BeamsplitterParams(0.0)
+    _, _, rho2, tau = msi_matrix(geom, membrane, bs, geom.wavenumber, WAVELENGTH / 4.0)
     assert abs(tau) < 1e-12
     # unitarity forces the dark-port reflectivity onto the unit circle
     assert abs(abs(rho2) - 1.0) < 1e-12
@@ -102,11 +103,11 @@ def test_unitarity_and_effective_mirror_identities():
     rng = np.random.default_rng(101)
     eye = np.eye(2)
     for _ in range(1000):
-        membrane, bs, geom = random_lossless(rng)
+        membrane, bs, geom, imbalance = random_lossless(rng)
         k = geom.wavenumber * rng.uniform(0.5, 2.0)
         for m in (to.beamsplitter_matrix(bs), to.membrane_matrix(membrane)):
             assert np.max(np.abs(m.conj().T @ m - eye)) < 1e-12
-        m_ms, rho1, rho2, tau = to.msi_matrix(geom, membrane, bs, k)
+        m_ms, rho1, rho2, tau = msi_matrix(geom, membrane, bs, k, imbalance)
         assert np.max(np.abs(m_ms.conj().T @ m_ms - eye)) < 1e-12
         assert abs(rho2 + np.conj(rho1)) < 1e-14
         assert abs(abs(rho2) ** 2 + abs(tau) ** 2 - 1.0) < 1e-12
@@ -180,34 +181,33 @@ def test_resolvent_degeneracy_error():
         cav.resonance_denominator(config, 0.0)
 
 
-def _raw_propagators(geom, k):
+def _raw_propagators(geom, dl, k):
     """Arm, fold and recycling-path propagators with every phase taken
-    literally as k times a macroscopic length."""
+    literally as k times a macroscopic length; dl is the arm imbalance."""
     p_arm = np.diag([np.exp(1j * k * geom.arm_length)] * 2)
     p_fold = np.diag(
         [
-            np.exp(1j * k * (geom.half_arm - geom.arm_imbalance / 2.0)),
-            np.exp(1j * k * (geom.half_arm + geom.arm_imbalance / 2.0)),
+            np.exp(1j * k * (geom.half_arm - dl / 2.0)),
+            np.exp(1j * k * (geom.half_arm + dl / 2.0)),
         ]
     )
     p_sr = np.diag([1.0, np.exp(1j * k * geom.sr_distance)]).astype(complex)
     return p_arm, p_fold, p_sr
 
 
-def _raw_denominator(geom, membrane, bs, srm, k):
-    _, rho2, _ = to.effective_mirror(membrane, bs, k * geom.arm_imbalance)
+def _raw_denominator(geom, dl, membrane, bs, srm, k):
+    _, rho2, _ = to.effective_mirror(membrane, bs, k * dl)
     return 1.0 - srm.reflectivity * rho2 * cmath.exp(2j * k * geom.cavity_length)
 
 
-def _explicit_field_matrices(geom, membrane, bs, srm, k):
+def _explicit_field_matrices(geom, dl, membrane, bs, srm, k):
     """Independent element-by-element transcription of the field maps."""
     rm, tm = membrane.reflectivity, membrane.transmissivity
     rb, tb = bs.reflectivity, bs.transmissivity
     r_sr, t_sr = srm.reflectivity, srm.transmissivity
-    dl = geom.arm_imbalance
     lc = geom.cavity_length
     arm = geom.arm_length + geom.half_arm
-    d = _raw_denominator(geom, membrane, bs, srm, k)
+    d = _raw_denominator(geom, dl, membrane, bs, srm, k)
 
     e = cmath.exp
     m_a = np.array(
@@ -247,26 +247,22 @@ def test_field_matrices_match_explicit_elements():
         membrane = MirrorParams.from_power_reflectivity(rng.uniform(0.05, 0.95))
         bs = BeamsplitterParams(rng.uniform(-0.8, 0.8))
         srm = MirrorParams.from_power_transmissivity(rng.uniform(0.01, 0.9))
-        geom = Geometry(
-            rng.uniform(0.1, 1.0),
-            rng.uniform(0.1, 1.0),
-            rng.uniform(0.1, 1.0),
-            WAVELENGTH,
-            rng.uniform(-0.05, 0.05),
-        )
+        geom = Geometry(rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0), WAVELENGTH)
+        dl = rng.uniform(-0.05, 0.05)
         k = rng.uniform(1.0, 20.0)
-        denominator = _raw_denominator(geom, membrane, bs, srm, k)
-        composed = to.field_matrices(membrane, bs, srm, *_raw_propagators(geom, k), denominator)
-        explicit = _explicit_field_matrices(geom, membrane, bs, srm, k)
+        denominator = _raw_denominator(geom, dl, membrane, bs, srm, k)
+        propagators = _raw_propagators(geom, dl, k)
+        composed = to.field_matrices(membrane, bs, srm, *propagators, denominator)
+        explicit = _explicit_field_matrices(geom, dl, membrane, bs, srm, k)
         for built, written in zip(composed, explicit):
             assert np.max(np.abs(built - written)) < 1e-12
 
 
 def test_field_matrices_energy_split_without_recycling():
-    geom = Geometry(0.05, 0.027, 0.01, WAVELENGTH, 0.8e-6)
+    geom = Geometry(0.05, 0.027, 0.01, WAVELENGTH)
     membrane = MirrorParams.from_power_reflectivity(0.17)
     bs = BeamsplitterParams(0.0)
     no_srm = MirrorParams(0.0, 1.0)
-    p = _raw_propagators(geom, geom.wavenumber)
+    p = _raw_propagators(geom, 0.8e-6, geom.wavenumber)
     m_inc, m_ref = to.field_matrices(membrane, bs, no_srm, *p, denominator=1.0)
     assert abs(abs(m_inc[0, 0]) ** 2 + abs(m_inc[1, 0]) ** 2 - 1.0) < 1e-12
