@@ -10,13 +10,13 @@ from .params import (
     MirrorParams,
 )
 from .transfer_optics import (
-    DegenerateResonanceError,
     beamsplitter_matrix,
     effective_mirror,
     field_matrices,
     membrane_matrix,
 )
 from .cavity import (
+    DegenerateResonanceError,
     EffectiveCavity,
     NoDarkPortError,
     dark_port_offset,

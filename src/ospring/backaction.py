@@ -108,8 +108,8 @@ def _feedback_term(config: InterferometerConfig, ph: cav._Phases, y, omega, e_h)
     common = rho / denom
     del rho, denom
 
-    z = cav._compose(ph.e0, e_h)
-    z *= dark.p
+    # not in place: a one-row grid's z has one element (see cavity._blockwise)
+    z = cav._compose(ph.e0, e_h) * dark.p
     z_bar = z.conjugate()
     a_z = c + y * tb**2
     g = z * a_z
@@ -139,22 +139,21 @@ def kernel_exact(config: InterferometerConfig, omega):
     :func:`spring_damping` only at nonzero omega.  Of the mean-field term
     b^T sigma3 a only its imaginary part (:func:`_carrier`) survives the
     difference of the quadratic forms at +omega and, conjugated, at -omega;
-    :func:`_feedback_term` gives the rest.  The operating point is resolved
+    :func:`_feedback_term` gives the rest.  Each block of the sweep
+    (:func:`ospring.cavity._sweep_blockwise`) resolves its operating point
     once (:func:`ospring.cavity._phases`); the membrane phases at +-omega are
     composed from it and one sideband factor e_h = expm1(i*h), conjugated for
     -omega, and the recycling phase is taken whole per sideband: six
     ``np.sin`` per point.
     """
-    if isinstance(omega, float) or np.ndim(omega) == 0:
-        om = float(omega)
-    else:
-        om = np.asarray(omega, dtype=float)
-    ph = cav._phases(config)
-    y, interference = _carrier(config, ph)
+    scalar = isinstance(omega, float) or np.ndim(omega) == 0
+    om = float(omega) if scalar else np.asarray(omega, dtype=float)
     rm = config.membrane.reflectivity
     scale = 2j * config.geometry.wavenumber / C_LIGHT * rm * config.input_power
 
-    def kernel(om):
+    def kernel(config, om):  # one block's rows
+        ph = cav._phases(config)
+        y, interference = _carrier(config, ph)
         e_h = cav.expm1i(0.5 * om / C_LIGHT * ph.delta_l)
         out = _feedback_term(config, ph, y, om, e_h)
         out -= _conj(_feedback_term(config, ph, y, -om, _conj(e_h)))

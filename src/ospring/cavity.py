@@ -19,10 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import transfer_optics as to
 from .params import C_LIGHT, BeamsplitterParams, InterferometerConfig, MirrorParams
 
 NARROWBAND_WARN = 0.1
+DEGENERACY_FLOOR = 1e-14
+
+
+class DegenerateResonanceError(ArithmeticError):
+    """Resonance denominator too close to zero for a meaningful inverse."""
 
 
 class NoDarkPortError(ValueError):
@@ -209,11 +213,11 @@ def _denominator(config: InterferometerConfig, w, e_phi, rho):
     denom *= -srm.reflectivity
     denom += srm.reflection_deficit
     if isinstance(denom, complex):
-        degenerate = abs(denom) < to.DEGENERACY_FLOOR
+        degenerate = abs(denom) < DEGENERACY_FLOOR
     else:
-        degenerate = (np.abs(denom) < to.DEGENERACY_FLOOR).any()
+        degenerate = (np.abs(denom) < DEGENERACY_FLOOR).any()
     if degenerate:
-        raise to.DegenerateResonanceError("resonance denominator vanishes on the grid")
+        raise DegenerateResonanceError("resonance denominator vanishes on the grid")
     return denom
 
 
@@ -245,24 +249,27 @@ _BLOCK = 8192
 def _blockwise(fn, length: int, row_cells: int = 1):
     """The tuple of arrays ``fn(slice(None))``, evaluated as ``fn(rows)`` on
     slices of its leading axis of ``length`` rows, ``row_cells`` cells each:
-    a 1-D omega sweep at a scalar operating point, or a map's offset rows.
+    a sweep's leading axis (:func:`_sweep_blockwise`), or a map's offset rows.
 
     fn is elementwise along that axis, so the values are those of one call.
-    Blocks of about ``_BLOCK`` cells (at least one row) go into outputs
+    Blocks of about ``_BLOCK`` cells (at least two rows) go into outputs
     allocated once; a block's temporaries are reused from the allocator's
     free lists, while whole-length ones are handed fresh pages: a 5.4e4-point
     kernel call faulted in about 3,600 pages when it ran whole, 435 in blocks.
+    A lone last row joins the block before it: numpy 2.4 multiplies a one-element
+    complex array in place by another path than its array loop, rounding otherwise.
     """
-    step = max(1, _BLOCK // row_cells)
+    step = max(2, _BLOCK // row_cells)
     if length <= step:
         return fn(slice(None))
     outs = None
-    for start in range(0, length, step):
-        parts = fn(slice(start, start + step))
+    for start in range(0, length - 1, step):
+        stop = start + step if start + step < length - 1 else length
+        parts = fn(slice(start, stop))
         if outs is None:
             outs = tuple(np.empty((length,) + part.shape[1:], dtype=part.dtype) for part in parts)
         for out, part in zip(outs, parts):
-            out[start:start + step] = part
+            out[start:stop] = part
     return outs
 
 
@@ -365,9 +372,14 @@ def with_total_detuning(config: InterferometerConfig, detuning) -> Interferomete
     ``srm_detuning``, so ``dataclasses.replace`` would only repeat them.
     """
     membrane_detuning = _membrane_detuning(config, _carrier_excess(config)[1])
-    retuned = object.__new__(type(config))
-    retuned.__dict__.update(vars(config), srm_detuning=detuning - membrane_detuning)
-    return retuned
+    return _replace(config, srm_detuning=detuning - membrane_detuning)
+
+
+def _replace(config: InterferometerConfig, **fields) -> InterferometerConfig:
+    """A copy of ``config`` with ``fields`` replaced, not validated again."""
+    copy = object.__new__(type(config))
+    copy.__dict__.update(vars(config), **fields)
+    return copy
 
 
 def small_offset_expansion(config: InterferometerConfig):
@@ -390,8 +402,19 @@ def small_offset_expansion(config: InterferometerConfig):
 
 
 def _sweep_blockwise(fn, config: InterferometerConfig, omega):
-    """The tuple ``fn(omega)``, through :func:`_blockwise` where omega leads
-    the result: a 1-D omega at a scalar operating point."""
-    if np.ndim(omega) == 1 and not (np.ndim(config.offset) or np.ndim(config.srm_detuning)):
-        return _blockwise(lambda rows: fn(omega[rows]), omega.size)
-    return fn(omega)
+    """The tuple ``fn(config, omega)``, through :func:`_blockwise` along the
+    leading axis of the broadcast of omega, ``offset`` and ``srm_detuning``:
+    each block slices those of the three that span that axis, so fn resolves
+    the operating point of its own rows.  Scalar inputs, found by a type
+    check cheaper than the broadcast, are one direct call."""
+    offset, detuning = config.offset, config.srm_detuning
+    if isinstance(omega, float) and isinstance(offset, float) and isinstance(detuning, float):
+        return fn(config, omega)
+    shape = np.broadcast(omega, offset, detuning).shape or (1,)  # 0-d arrays: one row
+
+    def block(rows):
+        om, x, d = (v[rows] if np.ndim(v) == len(shape) and len(v) == shape[0] else v
+                    for v in (omega, offset, detuning))
+        return fn(_replace(config, offset=x, srm_detuning=d), om)
+
+    return _blockwise(block, shape[0], math.prod(shape[1:]))

@@ -1,6 +1,8 @@
 """Command-line interface: parameter sweeps and CSV/JSON emission.
 
 Exit codes: 0 success, 1 I/O or parse errors, 2 validation failures.
+Errors and the warnings a run raises go to stderr as ``ospring: <error>``
+and ``ospring: warning: <message>``, each distinct warning once.
 CSV contract: comma separator, dot decimal, LF line endings, UTF-8, one
 header row, shortest round-trip float formatting.  JSON output mirrors the
 CSV columns as arrays next to a ``meta`` block with the resolved SI
@@ -24,6 +26,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -279,37 +282,30 @@ def cmd_spectrum(run: RunConfig, config, cavity, args) -> int:
 
 
 def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
-    gamma = cavity.half_linewidth
     sweep = _single_sweep(run, DETUNING_KEYS + OMEGA_SWEEP_KEYS)
     if args.method != "exact":
         st._require_linewidth(cavity)  # the narrow-band laws divide by gamma^2 + delta^2
     raw = sweep.grid()
-    shared = ba._gain_inputs(config)
-
+    grid = _scaled_grid(sweep, cavity.half_linewidth)
     if sweep.variable in OMEGA_SWEEP_KEYS:
         if args.method == "freemass":
             raise ValidationError("the freemass method needs a detuning sweep")
-        omega = _scaled_grid(sweep, gamma)
-        if np.any(omega <= 0.0):
+        if np.any(grid <= 0.0):
             raise ValidationError("frequency sweeps for backaction must stay positive")
-        if args.method == "exact":
-            kernel = ba.kernel_exact(config, omega)
-        else:
-            kernel = ba.kernel_narrowband(cavity, *shared, omega)
-        spring, damping = ba.spring_damping(kernel, omega)
+        omega, deltas = grid, None
+    elif args.method != "freemass":
+        omega, deltas = _analysis_frequency(run), grid
+
+    if args.method == "freemass":
+        spring, damping = ba.free_mass_spring_damping(cavity, *ba._gain_inputs(config), grid)
+        kernel = spring.astype(complex)
     else:
-        deltas = _scaled_grid(sweep, gamma)
-        if args.method == "freemass":
-            spring, damping = ba.free_mass_spring_damping(cavity, *shared, deltas)
-            kernel = spring.astype(complex)
-        elif args.method == "narrowband":
-            omega_eval = _analysis_frequency(run)
-            kernel = ba.kernel_narrowband(cavity, *shared, omega_eval, detuning=deltas)
-            spring, damping = ba.spring_damping(kernel, omega_eval)
+        if args.method == "exact":
+            swept = config if deltas is None else cav.with_total_detuning(config, deltas)
+            kernel = ba.kernel_exact(swept, omega)
         else:
-            omega_eval = _analysis_frequency(run)
-            kernel = ba.kernel_exact(cav.with_total_detuning(config, deltas), omega_eval)
-            spring, damping = ba.spring_damping(kernel, omega_eval)
+            kernel = ba.kernel_narrowband(cavity, *ba._gain_inputs(config), omega, detuning=deltas)
+        spring, damping = ba.spring_damping(kernel, omega)
 
     header = ["sweep_var", "k_re", "k_im", "spring_n_per_m", "damping_ns_per_m"]
     columns = [raw, kernel.real, kernel.imag, spring, damping]
@@ -421,27 +417,48 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
         ) <= 1e-12 * np.max(spectrum.total)
         return closure and np.all(spectrum.total >= 0.0)
 
+    def face_fields(config):
+        # the mean membrane-face fields built from the element matrices, from the
+        # closed-form carrier y: incident a = P*m_bs*(1, y), P the fold propagator,
+        # and reflected m_m*a; broadcasts over an array offset
+        y = ba._carrier(config, cav._phases(config))[0]
+        half = np.multiply.outer([-1j, 1j], 0.5 * cav.imbalance_phase(config))
+        a = np.exp(half) * (to.beamsplitter_matrix(config.bs) @ [np.ones_like(y), y])
+        return a, to.membrane_matrix(config.membrane) @ a
+
     def mean_fields():
-        # closed-form b^T sigma3 a against the mean membrane-face fields built from
-        # the element matrices: a = P*m_bs*(1, y), b = conj(m_m*a), P the fold propagator
+        # closed-form b^T sigma3 a against the face fields, b = conj(m_m*a)
         y, interference = ba._carrier(config, cav._phases(config))
         closed = -config.membrane.reflectivity * (1.0 + abs(y) ** 2) + 1j * interference
-        half = 0.5 * cav.imbalance_phase(config)
-        a = np.exp([-1j * half, 1j * half]) * (to.beamsplitter_matrix(config.bs) @ [1.0, y])
-        b = np.conj(to.membrane_matrix(config.membrane) @ a)
+        a, b = face_fields(config)
+        b = np.conj(b)
         return abs(b[0] * a[0] - b[1] * a[1] - closed) <= 1e-12 * abs(closed)
 
     def kernel_oracle():
+        # static limit, on every configuration: Re K(0) is 2P/c times the offset
+        # derivative of the face-power difference |a1|^2 + |b1|^2 - |a2|^2 - |b2|^2
+        # at a fixed recycling tuning (Richardson central difference; with a step
+        # of 1e-12 m truncation leaves 1.6e-8 of K(0) on fig4a, with 2e-13 m 3e-11)
+        step = 2e-13
+        shifted = cav._replace(config, offset=config.offset + step * np.array([-2, -1, 1, 2]))
+        a, b = face_fields(shifted)
+        power = np.abs(a[0]) ** 2 + np.abs(b[0]) ** 2 - np.abs(a[1]) ** 2 - np.abs(b[1]) ** 2
+        slope = (8.0 * (power[2] - power[1]) - (power[3] - power[0])) / (12.0 * step)
+        static = ba.kernel_exact(config, 0.0).real - 2.0 * config.input_power / C_LIGHT * slope
+        # scaled, as below, by the peak of a +-3 gamma detuning sweep: at zero
+        # detuning with a fully reflective membrane K(0) itself is 0
+        deltas = np.linspace(-3.0, 3.0, 121)[:, None] * gamma
+        swept = cav.with_total_detuning(config, deltas)
+        if not abs(static) <= 1e-8 * np.max(np.abs(ba.kernel_exact(swept, 0.0))):
+            return False
         tau_sq = 4.0 * cavity.membrane_half_linewidth * config.geometry.cavity_length / C_LIGHT
         if config.srm.transmissivity**2 > 0.01 or tau_sq > 0.01 or config.bs.asymmetry != 0.0:
             return True  # outside the narrow-band regime the comparison is not meaningful
         omega = np.linspace(0.1, 3.0, 31) * gamma
         exact = ba.kernel_exact(config, omega)
         approx = ba.kernel_narrowband(cavity, *ba._gain_inputs(config), omega)
-        # the gap against the peak |K| of a +-3 gamma detuning sweep at the same omega:
+        # the gap against the peak |K| of the detuning sweep at the same omega:
         # at zero detuning with a fully reflective membrane the narrow-band kernel is 0
-        deltas = np.linspace(-3.0, 3.0, 121)[:, None] * gamma
-        swept = cav.with_total_detuning(config, deltas)
         peak = np.max(np.abs(ba.kernel_exact(swept, omega)), axis=0)
         return np.max(np.abs(exact - approx) / peak) < 0.05
 
@@ -489,28 +506,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        run = load_config(args.config)
-        config, cavity = run.interferometer()
-        return HANDLERS[args.command](run, config, cavity, args)
-    except ParseError as exc:
-        print(f"ospring: parse error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"ospring: i/o error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        ValidationError,
-        cav.NoDarkPortError,
-        to.DegenerateResonanceError,
-        st.DegenerateLeadingCoefficientError,
-        ValueError,
-    ) as exc:
-        print(f"ospring: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"ospring: sweep grid too large: {exc}", file=sys.stderr)
-        return 2
+    # the library warns through ``warnings``; a run states each distinct message
+    # once, as it states errors, so stderr names no source file
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            run = load_config(args.config)
+            config, cavity = run.interferometer()
+            return HANDLERS[args.command](run, config, cavity, args)
+        except ParseError as exc:
+            print(f"ospring: parse error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"ospring: i/o error: {exc}", file=sys.stderr)
+            return 1
+        except (
+            ValidationError,
+            cav.DegenerateResonanceError,
+            st.DegenerateLeadingCoefficientError,
+            ValueError,
+        ) as exc:
+            print(f"ospring: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            print(f"ospring: sweep grid too large: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for message in dict.fromkeys(str(warning.message) for warning in caught):
+                print(f"ospring: warning: {message}", file=sys.stderr)
 
 
 def console_main() -> None:

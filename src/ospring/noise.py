@@ -38,7 +38,9 @@ class NoiseSpectrum:
 
 
 def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
-    """Unsymmetrized back-action force noise density over a signed grid."""
+    """Unsymmetrized back-action force noise density over a signed grid;
+    broadcasts over omega and array ``offset`` and ``srm_detuning``, each block
+    (:func:`ospring.cavity._sweep_blockwise`) resolving its own operating point."""
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     geom = config.geometry
     rm, tm = config.membrane.reflectivity, config.membrane.transmissivity
@@ -61,15 +63,14 @@ def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
     # terms (cavity._Phases): two sideband factors per frequency, which the
     # denominator shares.
     asym = config.bs.asymmetry  # tb^2 - rb^2
-    ph = cav._phases(config)
-    dark = ph.dark
-    u = dark.u
-    back = np.conj(ph.e_rt)  # exp(-i*phi(0)) - 1
     deficit = config.srm.reflection_deficit
-    denom0 = cav._denominator(config, cav._excess(dark, ph.e0)[1], ph.e_rt, 1.0 + ph.e_rt)
     prefactor = 4.0 * HBAR * geom.wavenumber / C_LIGHT * rm**2 * config.input_power
 
-    def densities(om):
+    def densities(config, om):  # one block's rows
+        ph = cav._phases(config)
+        dark, u = ph.dark, ph.dark.u
+        back = np.conj(ph.e_rt)  # exp(-i*phi(0)) - 1
+        denom0 = cav._denominator(config, cav._excess(dark, ph.e0)[1], ph.e_rt, 1.0 + ph.e_rt)
         e_eps = cav._compose(ph.e0, cav.expm1i(om / C_LIGHT * ph.delta_l))
         z = dark.p * e_eps
         d_alpha1 = 2.0 * tm * rb * tb * z.real

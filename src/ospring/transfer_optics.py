@@ -25,12 +25,6 @@ import numpy as np
 
 from .params import BeamsplitterParams, MirrorParams
 
-DEGENERACY_FLOOR = 1e-14
-
-
-class DegenerateResonanceError(ArithmeticError):
-    """Resonance denominator too close to zero for a meaningful inverse."""
-
 
 def beamsplitter_matrix(bs: BeamsplitterParams) -> np.ndarray:
     """[[t, -r], [r, t]] with the real sign convention."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from ospring import backaction as ba
 from ospring import cavity as cav
+from ospring import noise as noi
 from ospring import transfer_optics as to
 from ospring.presets import PRESET_NAMES, preset_path
 from ospring.params import (
@@ -361,3 +364,61 @@ def test_composed_phase_factor_matches_50_digit_reference():
             err_composed = float(abs(mp.mpc(composed[i]) - exact))
             err_rounded = float(abs(mp.mpc(rounded[i]) - exact))
             assert err_composed <= err_rounded + 4.0 * ulp * (abs(e_a[i]) + abs(e_b[i])), i
+
+
+@pytest.mark.parametrize("name", ["fig2c", "fig4b"])
+def test_operating_point_grid_equals_its_rows_bit_for_bit(name):
+    """An offset-rows x detunings grid runs in blocks of offset rows, each
+    block resolving its own operating point: every row of the kernel and of
+    the spectrum equals the call at that single offset, bit for bit, for row
+    counts that fill one block, run two rows past it, and leave a lone last
+    row, which joins the block before it.  The single offset is a one-row
+    grid: a Python-float offset takes scalar products, and a 1-D sweep other
+    numpy loops, either of which may round differently in the last bit (fig4b)."""
+    config, cavity = load_config(preset_path(name)).interferometer()
+    deltas = np.linspace(-3.0, 3.0, 400) * cavity.half_linewidth
+    omega = 0.7 * cavity.half_linewidth
+    step = cav._BLOCK // deltas.size
+    for rows in (step, step + 2, 2 * step + 1):
+        offsets = np.linspace(0.0, 0.02, rows) * config.geometry.wavelength
+        grid = cav.with_total_detuning(replace(config, offset=offsets[:, None]), deltas)
+        kernel = ba.kernel_exact(grid, omega)
+        spectrum = noi.back_action_spectrum(grid, omega)
+        assert kernel.shape == spectrum.total.shape == (rows, deltas.size)
+        for i in range(rows):
+            row = cav.with_total_detuning(replace(config, offset=offsets[i : i + 1, None]), deltas)
+            assert np.array_equal(kernel[i], ba.kernel_exact(row, omega)[0]), (rows, i)
+            single = noi.back_action_spectrum(row, omega)
+            assert np.array_equal(spectrum.laser_part[i], single.laser_part[0]), (rows, i)
+            assert np.array_equal(spectrum.detector_part[i], single.detector_part[0]), (rows, i)
+
+
+def test_lone_last_point_joins_the_block_before_it(monkeypatch):
+    """A 1-D sweep one point longer than two blocks equals one whole-length
+    call bit for bit: its last point is evaluated with the block before it,
+    where a block of one point rounded fig4b's last kernel value otherwise."""
+    config, cavity = load_config(preset_path("fig4b")).interferometer()
+    omega = np.linspace(0.1, 3.0, 2 * cav._BLOCK + 1) * cavity.half_linewidth
+    blocked = ba.kernel_exact(config, omega)
+    monkeypatch.setattr(cav, "_BLOCK", omega.size)
+    assert np.array_equal(blocked, ba.kernel_exact(config, omega))
+
+
+def test_operating_point_grid_peak_memory():
+    """A 400 x 400 fig2c exact grid (offset column x detuning row at the
+    mechanical frequency) holds its complex result and one block's
+    temporaries: the traced peak read 27 MiB when the grid ran whole."""
+    run = load_config(preset_path("fig2c"))
+    config, cavity = run.interferometer()
+    offsets = np.linspace(0.0, 0.02, 400)[:, None] * config.geometry.wavelength
+    deltas = np.linspace(-3.0, 3.0, 400) * cavity.half_linewidth
+    grid = cav.with_total_detuning(replace(config, offset=offsets), deltas)
+    omega = 2.0 * math.pi * run.physical["mech_freq_hz"]
+    ba.kernel_exact(cav.with_total_detuning(config, deltas), omega)
+    tracemalloc.start()
+    try:
+        ba.kernel_exact(grid, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak / 2**20

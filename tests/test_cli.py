@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -413,6 +415,22 @@ def test_validate_reports_a_crashing_check_as_an_error(tmp_path, monkeypatch):
     expected = [f"PASS: {check}" for check in VALIDATE_CHECKS]
     expected[4] = "ERROR: noise_closure_and_positivity: ZeroDivisionError: no spectrum"
     assert lines == expected
+
+
+@pytest.mark.parametrize("name", ["fig4a", "fig4b"])
+def test_validate_catches_a_wrong_static_kernel(tmp_path, monkeypatch, name):
+    # kernel_exact with the sign of its mean-field term 2j*interference flipped, and
+    # nothing else: outside the narrow-band regime only the static limit sees it
+    source = inspect.getsource(ba)
+    mutated = source.replace("out += 2j * interference", "out -= 2j * interference")
+    assert mutated != source
+    mutant = types.ModuleType("ospring._mutant_backaction")
+    mutant.__package__ = "ospring"
+    exec(compile(mutated, ba.__file__, "exec"), mutant.__dict__)
+    monkeypatch.setattr(ba, "kernel_exact", mutant.kernel_exact)
+    expected = [f"PASS: {check}" for check in VALIDATE_CHECKS]
+    expected[-1] = "FAIL: exact_vs_narrowband_kernel"
+    assert run_validate(tmp_path, name) == (2, expected)
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig3d"])
@@ -904,42 +922,58 @@ def test_map_reduces_once_for_all_offset_rows(monkeypatch, tmp_path, fmt):
     assert counts["cavity"] == 2  # the operating point, then the whole offset column
 
 
-NARROWBAND_WARNING = "narrow-band decomposition is unreliable"
-OFFSET_WARNING = "membrane offset exceeds an eighth wavelength"
+NARROWBAND_WARNING = (
+    "narrow-band decomposition is unreliable: recycling-mirror or "
+    "interferometer power transmittance exceeds 0.1"
+)
+OFFSET_WARNING = (
+    "membrane offset exceeds an eighth wavelength; the near-dark-fringe "
+    "analysis is unreliable this far out"
+)
+
+
+def run_cli_process(*argv):
+    # a subprocess sees the warnings as a user does; pytest's capture records every call
+    src = str(Path(ospring.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "ospring.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
 
 
 def test_offset_warning_names_its_source_once(tmp_path):
-    # a subprocess sees the warning as a user does; pytest's capture records every call
+    # the run states the warning as it states errors, named for ospring, not a source path
     text = Path(preset_path("fig2c")).read_text()
     start = text.index("offset_xi_lambda0")
     line = text[start:text.index("\n", start)]
     cfg = write_cfg(tmp_path, text.replace(line, "offset_xi_lambda0 = 0.2"))
-    src = str(Path(ospring.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONWARNINGS", None)
     argv = ["backaction", "--method", "narrowband", "--config", cfg, "--out", str(tmp_path / "out")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "ospring.cli", *argv],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = run_cli_process(*argv)
     assert proc.returncode == 0, proc.stderr
-    warned = [line for line in proc.stderr.splitlines() if OFFSET_WARNING in line]
-    assert len(warned) == 1, proc.stderr
-    assert "params.py:" in warned[0] and "<string>" not in warned[0], proc.stderr
+    # this far out the line is wide as well, which the reduction states next
+    assert proc.stderr == (
+        f"ospring: warning: {OFFSET_WARNING}\nospring: warning: {NARROWBAND_WARNING}\n"
+    )
 
 
 @pytest.mark.parametrize(
     "command", [("spectrum",), ("spectrum", "--format", "json"), ("cavity",), ("validate",)]
 )
 def test_narrowband_warning_shows_once_per_run(tmp_path, command):
-    # a subprocess sees the warning as a user does; pytest's capture records every call
-    src = str(Path(ospring.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONWARNINGS", None)
     argv = [*command, "--config", preset_path("fig4b"), "--out", str(tmp_path / "out")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "ospring.cli", *argv],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = run_cli_process(*argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.count(NARROWBAND_WARNING) == 1, proc.stderr
+    assert proc.stderr == f"ospring: warning: {NARROWBAND_WARNING}\n"
+
+
+def test_warning_line_follows_an_error(tmp_path):
+    # the warnings a failed run raised are stated too, after its error
+    argv = ["backaction", "--method", "freemass", "--config", preset_path("fig4b")]
+    proc = run_cli_process(*argv, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "ospring: the freemass method needs a detuning sweep\n"
+        f"ospring: warning: {NARROWBAND_WARNING}\n"
+    )

@@ -177,7 +177,7 @@ def test_resolvent_peak_amplitude():
 
 def test_resolvent_degeneracy_error():
     config = _tuned_config(MirrorParams(1.0, 0.0), BeamsplitterParams(0.0), MirrorParams(1.0, 0.0))
-    with pytest.raises(to.DegenerateResonanceError):
+    with pytest.raises(cav.DegenerateResonanceError):
         cav.resonance_denominator(config, 0.0)
 
 
