@@ -44,9 +44,8 @@ def _carrier(config: InterferometerConfig, ph: cav._Phases):
     tm = config.membrane.transmissivity
     rb, tb = config.bs.reflectivity, config.bs.transmissivity
     dark, rho = ph.dark, 1.0 + ph.e_rt
-    tau, w = cav._excess(dark, ph.e0)
-    d0 = cav._denominator(config, w, ph.e_rt, rho)
-    y = config.srm.reflectivity * (rho * dark.u.conjugate()) * tau / d0
+    d0 = cav._denominator(config, ph.w, ph.e_rt, rho)
+    y = config.srm.reflectivity * (rho * dark.u.conjugate()) * ph.tau / d0
     phase = (dark.p * (1.0 + ph.e0)).conjugate()  # exp(-i*psi)
     fields = phase * (rb + tb * y.conjugate()) * (tb - rb * y)
     return y, 2.0 * tm * fields.imag
@@ -144,7 +143,11 @@ def kernel_exact(config: InterferometerConfig, omega):
     once (:func:`ospring.cavity._phases`); the membrane phases at +-omega are
     composed from it and one sideband factor e_h = expm1(i*h), conjugated for
     -omega, and the recycling phase is taken whole per sideband: six
-    ``np.sin`` per point.
+    ``np.sin`` per point.  A Python float or a one-element array omega may
+    differ in the last bit from the same point inside a longer sweep (most
+    points of a fig2c sweep do): a float takes Python's complex arithmetic,
+    and numpy multiplies a one-element complex array in place by another
+    path than its array loop.
     """
     scalar = isinstance(omega, float) or np.ndim(omega) == 0
     om = float(omega) if scalar else np.asarray(omega, dtype=float)

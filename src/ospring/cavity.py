@@ -33,7 +33,6 @@ class NoDarkPortError(ValueError):
     """The requested dark-output condition has no solution."""
 
 
-@lru_cache(maxsize=128)
 def dark_port_phase(membrane: MirrorParams, bs: BeamsplitterParams, index: int = 1) -> float:
     """One-way imbalance phase k0*delta_l of the index-th dark output.
 
@@ -41,28 +40,7 @@ def dark_port_phase(membrane: MirrorParams, bs: BeamsplitterParams, index: int =
     on the branch indexed by the odd integer ``index`` (a balanced
     beamsplitter gives index * pi/2).
     """
-    base = math.acos(_dark_port_cosine(membrane, bs, index))
-    if index % 4 == 1:
-        return (index - 1) * math.pi / 2.0 + base
-    return (index + 1) * math.pi / 2.0 - base
-
-
-def _dark_port_cosine(membrane: MirrorParams, bs: BeamsplitterParams, index: int) -> float:
-    """cos(psi_dp) = -(t_m/r_m) * asymmetry / sqrt(1 - asymmetry^2), checked."""
-    if index < 1 or index % 2 == 0:
-        raise ValueError("dark port index must be a positive odd integer")
-    if membrane.reflectivity <= 0.0:
-        raise NoDarkPortError("a fully transmissive membrane has no dark output")
-    rhs = (
-        -(membrane.transmissivity / membrane.reflectivity)
-        * bs.asymmetry
-        / math.sqrt(1.0 - bs.asymmetry**2)
-    )
-    if abs(rhs) > 1.0:
-        raise NoDarkPortError(
-            f"no dark output: required cosine {rhs:.6g} falls outside [-1, 1]"
-        )
-    return rhs
+    return _dark_port_carrier(membrane, bs, index).psi
 
 
 def dark_port_offset(
@@ -100,24 +78,36 @@ def _dark_port_carrier(membrane: MirrorParams, bs: BeamsplitterParams, index: in
     from the double psi_dp, whose rounding would rotate the excess z.
 
     p_dp = (cos, sin)(psi_dp) takes the cosine the condition fixes and the
-    sign of the sine from the branch.  With a the beamsplitter asymmetry,
+    sign of the sine from the branch, and psi_dp (:func:`dark_port_phase`) is
+    the branch's arccosine of it.  With a the beamsplitter asymmetry,
     tb^2 - rb^2 = a, tb^2 + rb^2 = 1 and 2*rb*tb = sqrt(1 - a^2) = s, every
     other constant is a closed form in p_dp: rho2_dp = rm*(tb^2*p_dp -
     rb^2*conj(p_dp)) - tm*s = (-tm/s, rm*sin(psi_dp)), and the sums whose
     O(1) terms cancel (w's coefficients, beta1) are written without the
     cancellation.
     """
-    cosine = _dark_port_cosine(membrane, bs, index)
-    sine = math.sqrt((1.0 - cosine) * (1.0 + cosine))
-    if index % 4 != 1:
-        sine = -sine
-    p_dp = complex(cosine, sine)
+    if index < 1 or index % 2 == 0:
+        raise ValueError("dark port index must be a positive odd integer")
+    if membrane.reflectivity <= 0.0:
+        raise NoDarkPortError("a fully transmissive membrane has no dark output")
     rm, tm = membrane.reflectivity, membrane.transmissivity
     asym = bs.asymmetry
+    cosine = -(tm / rm) * asym / math.sqrt(1.0 - asym**2)
+    if abs(cosine) > 1.0:
+        raise NoDarkPortError(
+            f"no dark output: required cosine {cosine:.6g} falls outside [-1, 1]"
+        )
+    sine = math.sqrt((1.0 - cosine) * (1.0 + cosine))
+    if index % 4 == 1:
+        psi = (index - 1) * math.pi / 2.0 + math.acos(cosine)
+    else:
+        psi = (index + 1) * math.pi / 2.0 - math.acos(cosine)
+        sine = -sine
+    p_dp = complex(cosine, sine)
     cross = math.sqrt(1.0 - asym * asym)  # 2*rb*tb
     rho2_dp = complex(-tm / cross, rm * sine)
     return _DarkPort(
-        p_dp, rho2_dp, rho2_dp / abs(rho2_dp), dark_port_phase(membrane, bs, index),
+        p_dp, rho2_dp, rho2_dp / abs(rho2_dp), psi,
         rm * cross * p_dp,
         rm * complex(asym * cosine, sine) / rho2_dp,  # w = w_re*Re(e) + w_im*Im(e)
         1j * rm * complex(cosine, asym * sine) / rho2_dp,
@@ -155,23 +145,30 @@ class _Phases(NamedTuple):
     the recycling phase phi = 2*srm_detuning*Lc/c + 2*omega*Lc/c, both taken
     from the dark-port resonance.  ``e0`` and ``e_rt`` are the expm1(i*...)
     of the operating-point terms, the carrier's own (omega = 0); the kernel
-    and the spectrum add the sideband terms with :func:`_compose`.
+    and the spectrum add the sideband terms with :func:`_compose`.  ``tau``
+    and ``w`` are the carrier's excess over the dark port, :func:`_excess` of e0.
     """
 
     dark: _DarkPort
     delta_l: float  # metric arm imbalance: dark-port imbalance + offset
     e0: complex  # expm1(i*k0*offset)
     e_rt: complex  # expm1(2i*srm_detuning*Lc/c)
+    tau: float
+    w: complex
 
 
 def _phases(config: InterferometerConfig) -> _Phases:
     dark = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
     geom = config.geometry
+    e0 = expm1i(geom.wavenumber * config.offset)
+    tau, w = _excess(dark, e0)
     return _Phases(
         dark,
         dark.psi * geom.wavelength / (2.0 * math.pi) + config.offset,
-        expm1i(geom.wavenumber * config.offset),
+        e0,
         expm1i(2.0 * config.srm_detuning * geom.cavity_length / C_LIGHT),
+        tau,
+        w,
     )
 
 
@@ -318,12 +315,6 @@ class EffectiveCavity:
         )
 
 
-def _carrier_excess(config: InterferometerConfig):
-    """:func:`_excess` of the carrier, at the membrane phase k0*offset."""
-    dark = _dark_port_carrier(config.membrane, config.bs, config.dark_port_index)
-    return _excess(dark, expm1i(config.geometry.wavenumber * config.offset))
-
-
 def _membrane_detuning(config: InterferometerConfig, w):
     """The membrane detuning c*arg(1 + w)/(2*Lc) of the carrier's w."""
     return C_LIGHT * np.arctan2(w.imag, 1.0 + w.real) / (2.0 * config.geometry.cavity_length)
@@ -334,11 +325,12 @@ def effective_cavity(config: InterferometerConfig) -> EffectiveCavity:
     broadcasts over an array ``offset`` and ``srm_detuning``.
 
     gamma_m comes from tau^2 and the membrane detuning from
-    arg(rho2/rho2_dp) = arg(1 + w), both from :func:`_excess`.
+    arg(rho2/rho2_dp) = arg(1 + w), both the carrier's (:class:`_Phases`).
     """
     lc = config.geometry.cavity_length
     srm = config.srm
-    tau, w = _carrier_excess(config)
+    ph = _phases(config)
+    tau, w = ph.tau, ph.w
     tau_sq = tau * tau
     if srm.transmissivity**2 > NARROWBAND_WARN or np.count_nonzero(tau_sq > NARROWBAND_WARN):
         # attributed to this line, so the default filter shows it once per process
@@ -371,7 +363,7 @@ def with_total_detuning(config: InterferometerConfig, detuning) -> Interferomete
     copy is not validated again: no check of the configuration reads
     ``srm_detuning``, so ``dataclasses.replace`` would only repeat them.
     """
-    membrane_detuning = _membrane_detuning(config, _carrier_excess(config)[1])
+    membrane_detuning = _membrane_detuning(config, _phases(config).w)
     return _replace(config, srm_detuning=detuning - membrane_detuning)
 
 

@@ -70,7 +70,7 @@ def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
         ph = cav._phases(config)
         dark, u = ph.dark, ph.dark.u
         back = np.conj(ph.e_rt)  # exp(-i*phi(0)) - 1
-        denom0 = cav._denominator(config, cav._excess(dark, ph.e0)[1], ph.e_rt, 1.0 + ph.e_rt)
+        denom0 = cav._denominator(config, ph.w, ph.e_rt, 1.0 + ph.e_rt)
         e_eps = cav._compose(ph.e0, cav.expm1i(om / C_LIGHT * ph.delta_l))
         z = dark.p * e_eps
         d_alpha1 = 2.0 * tm * rb * tb * z.real

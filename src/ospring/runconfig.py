@@ -1,10 +1,15 @@
 """Run-configuration files: parsing, validation and unit resolution.
 
-The format is line oriented ``key = value`` under ``[section]`` headers.
-Sections: ``[physical]`` (required), ``[sweep]`` and ``[sweep2]`` (optional
-grids), ``[output]`` (optional emission settings).  Unknown sections or
-keys are hard errors; duplicate keys are parse errors with a line number.
-All values are converted to SI on load.
+The format is line oriented ``key = value`` under ``[section]`` headers:
+``[physical]`` (required), ``[sweep]`` and ``[sweep2]`` (optional grids) and
+``[output]`` (optional emission settings).  Unknown sections are errors and
+duplicate keys are parse errors with a line number.  Each section is read
+against its table (``_SECTIONS``) in one fault order: the keys in file order,
+each unknown or with an invalid value, then a missing required key, then
+the checks across its values.  Values stay in the units of the file:
+:meth:`RunConfig.interferometer` and :meth:`RunConfig.oscillator` take them
+to SI, and the command line scales a grid in linewidth units by the
+half-linewidth and ``map``'s offsets by the wavelength.
 """
 
 from __future__ import annotations
@@ -108,6 +113,16 @@ OMEGA_SWEEP_KEYS = ("omega_rad_s", "omega_over_gamma")
 SWEEP_VARIABLES = tuple(PHYSICAL_KEYS) + OMEGA_SWEEP_KEYS
 SWEEP_SECTIONS = ("sweep", "sweep2")
 
+# each section's converter per key and required keys; a sweep's keys are SweepSpec's fields
+_SWEEP = ({"variable": str, "start": _parse_float, "stop": _parse_float,
+           "points": _parse_int, "scale": str}, ("variable", "start", "stop", "points"))
+_SECTIONS = {
+    "physical": (PHYSICAL_KEYS, REQUIRED_PHYSICAL),
+    "sweep": _SWEEP,
+    "sweep2": _SWEEP,
+    "output": ({"path": str, "format": str, "normalize": _parse_bool}, ()),
+}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -180,29 +195,26 @@ class RunConfig:
                 raise ValidationError(f"missing required key '{key}' for this subcommand")
 
 
-def _convert(section: str, key: str, raw: str, converter):
-    try:
-        return converter(raw)
-    except ValueError as exc:
-        raise ValidationError(f"invalid value for key '{key}' in [{section}]: {exc}") from exc
-
-
-def _sweep_from_section(name: str, items: dict) -> SweepSpec:
-    allowed = {"variable": str, "start": _parse_float, "stop": _parse_float,
-               "points": _parse_int, "scale": str}
-    for key in items:
-        if key not in allowed:
+def _section(parser: configparser.RawConfigParser, name: str) -> dict:
+    """The converted values of section ``name``: each key in file order is
+    unknown or converted, then the first missing required key is reported."""
+    converters, required = _SECTIONS[name]
+    values = {}
+    for key, raw in parser.items(name):
+        if key not in converters:
             raise ValidationError(f"unknown key '{key}' in [{name}]")
-    for key in ("variable", "start", "stop", "points"):
-        if key not in items:
+        try:
+            values[key] = converters[key](raw)
+        except ValueError as exc:
+            raise ValidationError(f"invalid value for key '{key}' in [{name}]: {exc}") from exc
+    for key in required:
+        if key not in values:
             raise ValidationError(f"missing required key '{key}' in [{name}]")
-    spec = SweepSpec(
-        variable=items["variable"].strip(),
-        start=_convert(name, "start", items["start"], _parse_float),
-        stop=_convert(name, "stop", items["stop"], _parse_float),
-        points=_convert(name, "points", items["points"], _parse_int),
-        scale=items.get("scale", "lin").strip(),
-    )
+    return values
+
+
+def _sweep_from_section(name: str, values: dict) -> SweepSpec:
+    spec = SweepSpec(**values)
     if spec.variable not in SWEEP_VARIABLES:
         raise ValidationError(f"unknown sweep variable '{spec.variable}' in [{name}]")
     if spec.points < 2:
@@ -244,45 +256,28 @@ def load_config(path) -> RunConfig:
 
     sections = parser.sections()
     for section in sections:
-        if section not in ("physical", "output") + SWEEP_SECTIONS:
+        if section not in _SECTIONS:
             raise ValidationError(f"unknown section [{section}]")
     if "physical" not in sections:
         raise ValidationError("missing required section [physical]")
 
-    physical = {}
-    for key, raw in parser.items("physical"):
-        if key not in PHYSICAL_KEYS:
-            raise ValidationError(f"unknown key '{key}' in [physical]")
-        physical[key] = _convert("physical", key, raw, PHYSICAL_KEYS[key])
-    for key in REQUIRED_PHYSICAL:
-        if key not in physical:
-            raise ValidationError(f"missing required key '{key}' in [physical]")
-    n_detuning = sum(key in physical for key in DETUNING_KEYS)
-    if n_detuning != 1:
+    physical = _section(parser, "physical")
+    if sum(key in physical for key in DETUNING_KEYS) != 1:
         raise ValidationError(
             "exactly one of detuning_over_gamma / detuning_rad_s must be present"
         )
 
-    sweeps = []
-    for name in SWEEP_SECTIONS:
-        if name in sections:
-            sweeps.append(_sweep_from_section(name, dict(parser.items(name))))
+    sweeps = tuple(_sweep_from_section(name, _section(parser, name))
+                   for name in SWEEP_SECTIONS if name in sections)
     if "sweep2" in sections and "sweep" not in sections:
         raise ValidationError("[sweep2] requires a [sweep] section")
 
     output = OutputSpec()
     if "output" in sections:
-        items = dict(parser.items("output"))
-        for key in items:
-            if key not in ("path", "format", "normalize"):
-                raise ValidationError(f"unknown key '{key}' in [output]")
-        fmt = items.get("format", "csv").strip()
+        values = _section(parser, "output")
+        fmt = values.pop("format", "csv")
         if fmt not in ("csv", "json"):
             raise ValidationError("key 'format' in [output] must be csv or json")
-        output = OutputSpec(
-            path=items.get("path", "").strip() or None,
-            fmt=fmt,
-            normalize=_convert("output", "normalize", items.get("normalize", "false"), _parse_bool),
-        )
+        output = OutputSpec(path=values.pop("path", "") or None, fmt=fmt, **values)
 
-    return RunConfig(physical=physical, sweeps=tuple(sweeps), output=output)
+    return RunConfig(physical=physical, sweeps=sweeps, output=output)

@@ -133,6 +133,60 @@ def test_output_block(tmp_path):
         rc.load_config(write(tmp_path, good.replace("normalize = true", "normalize = 1")))
 
 
+# every section with a valid value per key; FAULTS names, per section, a key
+# given an invalid value, that value and a required key (None: none required)
+SECTIONS = {
+    "physical": dict(line.split(" = ") for line in MINIMAL.strip().splitlines()[1:]),
+    "sweep": {"variable": "detuning_over_gamma", "start": "-2", "stop": "2", "points": "11"},
+    "sweep2": {"variable": "offset_xi_lambda0", "start": "0.001", "stop": "0.01", "points": "3"},
+    "output": {"format": "json", "normalize": "true"},
+}
+FAULTS = {
+    "physical": ("input_power_mw", "twenty", "arm_length_m"),
+    "sweep": ("start", "nan", "stop"),
+    "sweep2": ("points", "2.5", "variable"),
+    "output": ("normalize", "maybe", None),
+}
+
+
+def load_edited(tmp_path, section, **edits):
+    """load_config of SECTIONS with ``section``'s keys updated (None deletes one)."""
+    sections = {name: dict(keys) for name, keys in SECTIONS.items()}
+    sections[section].update(edits)
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None) + "\n"
+        for name, keys in sections.items()
+    )
+    return rc.load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("section", FAULTS)
+def test_every_section_states_its_faults_alike(tmp_path, section):
+    key, invalid, required = FAULTS[section]
+    assert len(load_edited(tmp_path, section).sweeps) == 2
+    with pytest.raises(rc.ValidationError) as err:
+        load_edited(tmp_path, section, bogus="1")
+    assert str(err.value) == f"unknown key 'bogus' in [{section}]"
+    with pytest.raises(rc.ValidationError) as err:
+        load_edited(tmp_path, section, **{key: invalid})
+    assert str(err.value).startswith(f"invalid value for key '{key}' in [{section}]: ")
+    if required is not None:
+        with pytest.raises(rc.ValidationError) as err:
+            load_edited(tmp_path, section, **{required: None})
+        assert str(err.value) == f"missing required key '{required}' in [{section}]"
+
+
+@pytest.mark.parametrize("section", FAULTS)
+def test_invalid_value_is_reported_before_missing_keys_and_value_checks(tmp_path, section):
+    # one fault order per section: the keys in file order, unknown or invalid,
+    # then the missing keys, then the section's own checks ([output]'s csv|json)
+    key, invalid, required = FAULTS[section]
+    later = {required: None} if required is not None else {"format": "xml"}
+    with pytest.raises(rc.ValidationError) as err:
+        load_edited(tmp_path, section, **{key: invalid}, **later)
+    assert str(err.value).startswith(f"invalid value for key '{key}' in [{section}]: ")
+
+
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(rc.ParseError):
         rc.load_config(tmp_path / "nope.cfg")
