@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -38,14 +37,7 @@ from . import noise as noi
 from . import stability as st
 from . import transfer_optics as to
 from .params import C_LIGHT
-from .runconfig import (
-    DETUNING_KEYS,
-    OMEGA_SWEEP_KEYS,
-    ParseError,
-    RunConfig,
-    ValidationError,
-    load_config,
-)
+from .runconfig import SWEEP_VARIABLES, ParseError, RunConfig, ValidationError, load_config
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -205,30 +197,17 @@ def _meta(run: RunConfig, config, cavity) -> dict:
 
 
 def _single_sweep(run: RunConfig, kinds) -> "SweepSpec":
+    """The run's one sweep, whose variable must be of one of ``kinds``."""
     if len(run.sweeps) != 1:
         raise ValidationError("this subcommand needs exactly one [sweep] section")
     sweep = run.sweeps[0]
-    if sweep.variable not in kinds:
+    accepted = [name for name, (kind, _) in SWEEP_VARIABLES.items() if kind in kinds]
+    if sweep.variable not in accepted:
         raise ValidationError(
             f"sweep variable '{sweep.variable}' is not supported here "
-            f"(expected one of {', '.join(kinds)})"
+            f"(expected one of {', '.join(accepted)})"
         )
     return sweep
-
-
-def _scaled_grid(sweep, gamma: float) -> np.ndarray:
-    """Sweep grid, in rad/s when the variable is given in linewidth units."""
-    grid = sweep.grid()
-    return grid * gamma if sweep.variable.endswith("_over_gamma") else grid
-
-
-def _analysis_frequency(run: RunConfig) -> float:
-    freq = run.physical.get("mech_freq_hz")
-    if freq is None or not freq > 0.0:
-        raise ValidationError(
-            "detuning sweeps need 'mech_freq_hz' (the analysis frequency) and it must be positive"
-        )
-    return 2.0 * math.pi * freq
 
 
 def _bare_mirror(config, phase=None):
@@ -270,8 +249,7 @@ def cmd_cavity(run: RunConfig, config, cavity, args) -> int:
 
 
 def cmd_spectrum(run: RunConfig, config, cavity, args) -> int:
-    sweep = _single_sweep(run, OMEGA_SWEEP_KEYS)
-    omega = _scaled_grid(sweep, cavity.half_linewidth)
+    omega = run.sweep_grid(_single_sweep(run, ("omega",)), config, cavity)
     spectrum = noi.back_action_spectrum(config, omega)
     if run.output.normalize:
         spectrum = spectrum.normalized()
@@ -282,19 +260,23 @@ def cmd_spectrum(run: RunConfig, config, cavity, args) -> int:
 
 
 def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
-    sweep = _single_sweep(run, DETUNING_KEYS + OMEGA_SWEEP_KEYS)
+    sweep = _single_sweep(run, ("detuning", "omega"))
     if args.method != "exact":
         st._require_linewidth(cavity)  # the narrow-band laws divide by gamma^2 + delta^2
-    raw = sweep.grid()
-    grid = _scaled_grid(sweep, cavity.half_linewidth)
-    if sweep.variable in OMEGA_SWEEP_KEYS:
+    grid = run.sweep_grid(sweep, config, cavity)
+    if SWEEP_VARIABLES[sweep.variable][0] == "omega":
         if args.method == "freemass":
             raise ValidationError("the freemass method needs a detuning sweep")
         if np.any(grid <= 0.0):
             raise ValidationError("frequency sweeps for backaction must stay positive")
         omega, deltas = grid, None
     elif args.method != "freemass":
-        omega, deltas = _analysis_frequency(run), grid
+        omega, deltas = run.analysis_frequency(), grid
+        if not omega > 0.0:
+            raise ValidationError(
+                "detuning sweeps need 'mech_freq_hz' (the analysis frequency) "
+                "and it must be positive"
+            )
 
     if args.method == "freemass":
         spring, damping = ba.free_mass_spring_damping(cavity, *ba._gain_inputs(config), grid)
@@ -308,7 +290,7 @@ def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
         spring, damping = ba.spring_damping(kernel, omega)
 
     header = ["sweep_var", "k_re", "k_im", "spring_n_per_m", "damping_ns_per_m"]
-    columns = [raw, kernel.real, kernel.imag, spring, damping]
+    columns = [sweep.grid(), kernel.real, kernel.imag, spring, damping]
     _emit_table(header, columns, run, config, cavity, args.out, args.format, header[1:])
     return 0
 
@@ -316,8 +298,7 @@ def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
 def cmd_stability(run: RunConfig, config, cavity, args) -> int:
     run.require("mass_kg")
     oscillator = run.oscillator()
-    sweep = _single_sweep(run, DETUNING_KEYS)
-    deltas = _scaled_grid(sweep, cavity.half_linewidth)
+    deltas = run.sweep_grid(_single_sweep(run, ("detuning",)), config, cavity)
     report = st.stability_report(config, oscillator, deltas, oscillator.resonance_frequency)
 
     header = ["delta_rad_s", "spring", "damping", "regime_label", "rh_stable"]
@@ -329,19 +310,13 @@ def cmd_stability(run: RunConfig, config, cavity, args) -> int:
 def cmd_map(run: RunConfig, config, cavity, args) -> int:
     if len(run.sweeps) != 2:
         raise ValidationError("the map subcommand needs [sweep] and [sweep2] sections")
-    by_kind = {}
-    for sweep in run.sweeps:
-        if sweep.variable in DETUNING_KEYS:
-            by_kind["detuning"] = sweep
-        elif sweep.variable == "offset_xi_lambda0":
-            by_kind["offset"] = sweep
+    by_kind = {SWEEP_VARIABLES[sweep.variable][0]: sweep for sweep in run.sweeps}
     if set(by_kind) != {"detuning", "offset"}:
         raise ValidationError("map sweeps must cover a detuning key and offset_xi_lambda0")
-    deltas = _scaled_grid(by_kind["detuning"], cavity.half_linewidth)
-    offsets = by_kind["offset"].grid() * config.geometry.wavelength
-    omega_eval = 2.0 * math.pi * run.physical.get("mech_freq_hz", 0.0)
+    deltas = run.sweep_grid(by_kind["detuning"], config, cavity)
+    offsets = run.sweep_grid(by_kind["offset"], config, cavity)
 
-    grid = st.regime_map(config, deltas, offsets, omega_eval)
+    grid = st.regime_map(config, deltas, offsets, run.analysis_frequency())
     n_d, n_x = deltas.size, offsets.size
     header = ["delta", "xi", "spring", "damping", "regime_label"]
     columns = [

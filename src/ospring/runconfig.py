@@ -6,10 +6,11 @@ The format is line oriented ``key = value`` under ``[section]`` headers:
 duplicate keys are parse errors with a line number.  Each section is read
 against its table (``_SECTIONS``) in one fault order: the keys in file order,
 each unknown or with an invalid value, then a missing required key, then
-the checks across its values.  Values stay in the units of the file:
-:meth:`RunConfig.interferometer` and :meth:`RunConfig.oscillator` take them
-to SI, and the command line scales a grid in linewidth units by the
-half-linewidth and ``map``'s offsets by the wavelength.
+the checks across its values.  Values are stored in the units of the file,
+and :class:`RunConfig` takes every one to SI: :meth:`~RunConfig.interferometer`
+and :meth:`~RunConfig.oscillator` the physical keys,
+:meth:`~RunConfig.sweep_grid` a sweep by its unit in ``SWEEP_VARIABLES`` and
+:meth:`~RunConfig.analysis_frequency` ``mech_freq_hz``.
 """
 
 from __future__ import annotations
@@ -109,8 +110,16 @@ REQUIRED_PHYSICAL = (
 )
 
 DETUNING_KEYS = ("detuning_over_gamma", "detuning_rad_s")
-OMEGA_SWEEP_KEYS = ("omega_rad_s", "omega_over_gamma")
-SWEEP_VARIABLES = tuple(PHYSICAL_KEYS) + OMEGA_SWEEP_KEYS
+
+# the variables a subcommand sweeps: the kind of each and its SI unit at the
+# resolved operating point (config, cavity), None where the file gives SI
+SWEEP_VARIABLES = {
+    "detuning_over_gamma": ("detuning", lambda config, cavity: cavity.half_linewidth),
+    "detuning_rad_s": ("detuning", None),
+    "omega_rad_s": ("omega", None),
+    "omega_over_gamma": ("omega", lambda config, cavity: cavity.half_linewidth),
+    "offset_xi_lambda0": ("offset", lambda config, cavity: config.geometry.wavelength),
+}
 SWEEP_SECTIONS = ("sweep", "sweep2")
 
 # each section's converter per key and required keys; a sweep's keys are SweepSpec's fields
@@ -180,12 +189,22 @@ class RunConfig:
         config = cav.with_total_detuning(base, total)
         return config, replace(cavity, srm_detuning=config.srm_detuning)
 
+    def sweep_grid(self, sweep: SweepSpec, config, cavity) -> np.ndarray:
+        """The grid of ``sweep`` in SI (rad/s or metres) at the resolved
+        operating point ``(config, cavity)``."""
+        unit = SWEEP_VARIABLES[sweep.variable][1]
+        return sweep.grid() if unit is None else sweep.grid() * unit(config, cavity)
+
+    def analysis_frequency(self) -> float:
+        """2π·``mech_freq_hz`` in rad/s; 0 without the key."""
+        return 2.0 * math.pi * self.physical.get("mech_freq_hz", 0.0)
+
     def oscillator(self) -> MechanicalOscillator | None:
         if "mass_kg" not in self.physical:
             return None
         return MechanicalOscillator(
             mass=self.physical["mass_kg"],
-            resonance_frequency=2.0 * math.pi * self.physical.get("mech_freq_hz", 0.0),
+            resonance_frequency=self.analysis_frequency(),
             damping_rate=2.0 * math.pi * self.physical.get("mech_damping_hz", 0.0),
         )
 

@@ -252,6 +252,135 @@ def test_detuning_sweep_needs_analysis_frequency(tmp_path, capsys, frequency, me
     assert "mech_freq_hz" in capsys.readouterr().err
 
 
+def _fig2c_sweeping(variable, start, stop, points=41, extra=""):
+    """fig2c, unnormalized, with its [sweep] on ``variable``, then ``extra``."""
+    text = Path(preset_path("fig2c")).read_text().replace("normalize = true", "normalize = false")
+    text = text.replace(
+        "variable = detuning_over_gamma\nstart = -3\nstop = 3\npoints = 241",
+        f"variable = {variable}\nstart = {start}\nstop = {stop}\npoints = {points}",
+    )
+    return text + extra
+
+
+def _column_values(columns, header, name):
+    return np.array([float(v) for v in columns[header.index(name)]])
+
+
+SWEEP_RANGES = {  # a (start, stop) that each subcommand taking the variable accepts
+    "detuning_over_gamma": (-3, 3),
+    "detuning_rad_s": (-2.5e6, 2.5e6),
+    "omega_rad_s": (1e5, 3e6),
+    "omega_over_gamma": (0.1, 3),
+}
+MAP_OFFSETS = "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0.002\nstop = 0.014\npoints = 7\n"
+
+
+@pytest.mark.parametrize(
+    "command, variable",
+    [
+        ("spectrum", "omega_rad_s"),
+        ("spectrum", "omega_over_gamma"),
+        ("backaction", "detuning_over_gamma"),
+        ("backaction", "detuning_rad_s"),
+        ("backaction", "omega_rad_s"),
+        ("backaction", "omega_over_gamma"),
+        ("stability", "detuning_over_gamma"),
+        ("stability", "detuning_rad_s"),
+        ("map", "detuning_over_gamma"),
+        ("map", "detuning_rad_s"),
+    ],
+)
+def test_sweep_axes_are_the_file_grid_in_si(tmp_path, command, variable):
+    """Each sweep variable runs on each subcommand that takes it, and each SI
+    axis column is the file's grid times its unit bit for bit: the
+    half-linewidth for ``*_over_gamma``, the wavelength for the offset, none
+    for ``*_rad_s``.  ``backaction``'s ``sweep_var`` is the file's own grid,
+    and its kernel is the exact one on the SI grid."""
+    extra = MAP_OFFSETS if command == "map" else ""
+    cfg = write_cfg(tmp_path, _fig2c_sweeping(variable, *SWEEP_RANGES[variable], extra=extra))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+    header, columns = read_csv_columns(out)
+    run = load_config(cfg)
+    config, cavity = run.interferometer()
+    file_grid = run.sweeps[0].grid()
+    si = file_grid * cavity.half_linewidth if variable.endswith("_over_gamma") else file_grid
+    if command == "spectrum":
+        assert _column_values(columns, header, "omega_rad_s").tobytes() == si.tobytes()
+    elif command == "stability":
+        assert _column_values(columns, header, "delta_rad_s").tobytes() == si.tobytes()
+    elif command == "map":
+        offsets = run.sweeps[1].grid() * config.geometry.wavelength
+        delta = _column_values(columns, header, "delta")
+        assert delta.tobytes() == np.tile(si, offsets.size).tobytes()
+        xi = _column_values(columns, header, "xi")
+        assert xi.tobytes() == np.repeat(offsets, si.size).tobytes()
+    else:
+        assert _column_values(columns, header, "sweep_var").tobytes() == file_grid.tobytes()
+        if variable.startswith("omega"):
+            kernel = ba.kernel_exact(config, si)
+        else:
+            omega = 2.0 * math.pi * 133000
+            kernel = ba.kernel_exact(cav.with_total_detuning(config, si), omega)
+        assert _column_values(columns, header, "k_re").tobytes() == kernel.real.tobytes()
+        assert _column_values(columns, header, "k_im").tobytes() == kernel.imag.tobytes()
+
+
+@pytest.mark.parametrize(
+    "command, accepted",
+    [
+        ("spectrum", "omega_rad_s, omega_over_gamma"),
+        ("backaction", "detuning_over_gamma, detuning_rad_s, omega_rad_s, omega_over_gamma"),
+        ("stability", "detuning_over_gamma, detuning_rad_s"),
+    ],
+)
+def test_sweep_of_another_kind_is_refused_with_the_accepted_list(
+    tmp_path, capsys, command, accepted
+):
+    cfg = write_cfg(tmp_path, _fig2c_sweeping("offset_xi_lambda0", 0.002, 0.014))
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err == (
+        "ospring: sweep variable 'offset_xi_lambda0' is not supported here "
+        f"(expected one of {accepted})\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.HANDLERS))
+def test_sweep_variable_outside_the_table_is_refused_at_load(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, _fig2c_sweeping("wavelength_nm", 500, 1500))
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err == (
+        "ospring: unknown sweep variable 'wavelength_nm' in [sweep]\n"
+    )
+
+
+@pytest.mark.parametrize("frequency", ["133000", "0"])
+def test_stability_and_map_share_the_analysis_frequency(tmp_path, frequency):
+    """``stability`` and the first offset row of a ``map`` starting at the
+    run's own offset take the analysis frequency by one route: the same
+    delta, spring and damping cells, byte for byte, at a finite frequency
+    and in the quasi-static limit."""
+    text = _fig2c_sweeping("detuning_over_gamma", -3, 3, points=241).replace(
+        "mech_freq_hz = 133000", f"mech_freq_hz = {frequency}"
+    )
+    stability_cfg = write_cfg(tmp_path, text, "stability.cfg")
+    map_cfg = write_cfg(
+        tmp_path,
+        text + "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0.01\nstop = 0.02\npoints = 3\n",
+        "map.cfg",
+    )
+    assert run_cli("stability", "--config", stability_cfg, "--out", str(tmp_path / "s.csv")) == 0
+    assert run_cli("map", "--config", map_cfg, "--out", str(tmp_path / "m.csv")) == 0
+    stability_rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+    map_rows = (tmp_path / "m.csv").read_text().splitlines()[1 : 1 + len(stability_rows)]
+    assert [row.split(",")[:3] for row in stability_rows] == [
+        row.split(",")[0:1] + row.split(",")[2:4] for row in map_rows
+    ]
+    offset = load_config(map_cfg).interferometer()[0].offset
+    assert {row.split(",")[1] for row in map_rows} == {repr(offset)}
+
+
 def test_json_output_mirrors_columns(tmp_path):
     out = tmp_path / "f2c.json"
     assert run_cli(

@@ -105,6 +105,9 @@ def test_sweep_validation(tmp_path):
 
     with pytest.raises(rc.ValidationError, match="unknown sweep variable"):
         rc.load_config(write(tmp_path, base.replace("detuning_over_gamma\n", "voltage\n")))
+    # a physical key outside the table of swept variables
+    with pytest.raises(rc.ValidationError, match="unknown sweep variable 'wavelength_nm'"):
+        rc.load_config(write(tmp_path, base.replace("detuning_over_gamma\n", "wavelength_nm\n")))
     with pytest.raises(rc.ValidationError, match="points"):
         rc.load_config(write(tmp_path, base.replace("points = 11", "points = 1")))
     with pytest.raises(rc.ValidationError, match="scale"):
@@ -113,6 +116,29 @@ def test_sweep_validation(tmp_path):
         rc.load_config(write(tmp_path, base + "scale = log\n"))
     with pytest.raises(rc.ValidationError, match="missing required key 'stop'"):
         rc.load_config(write(tmp_path, base.replace("stop = 2\n", "")))
+
+
+@pytest.mark.parametrize("variable", list(rc.SWEEP_VARIABLES))
+def test_sweep_grid_is_the_file_grid_times_its_unit(tmp_path, variable):
+    text = MINIMAL.replace("detuning_over_gamma = 0.0", "detuning_over_gamma = -0.8")
+    text += f"\n[sweep]\nvariable = {variable}\nstart = 0.5\nstop = 3\npoints = 11\nscale = log\n"
+    run = rc.load_config(write(tmp_path, text))
+    config, cavity = run.interferometer()
+    sweep = run.sweeps[0]
+    unit = {
+        "detuning_over_gamma": cavity.half_linewidth,
+        "omega_over_gamma": cavity.half_linewidth,
+        "offset_xi_lambda0": config.geometry.wavelength,
+    }.get(variable)
+    expected = sweep.grid() if unit is None else sweep.grid() * unit
+    assert run.sweep_grid(sweep, config, cavity).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("line, omega", [("", 0.0), ("mech_freq_hz = 133000", 2 * math.pi * 133e3)])
+def test_analysis_frequency_is_the_oscillator_resonance(tmp_path, line, omega):
+    run = rc.load_config(write(tmp_path, MINIMAL + f"mass_kg = 8e-11\n{line}\n"))
+    assert run.analysis_frequency() == omega
+    assert run.oscillator().resonance_frequency == omega
 
 
 def test_sweep2_requires_sweep(tmp_path):
