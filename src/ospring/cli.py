@@ -1,6 +1,8 @@
 """Command-line interface: parameter sweeps and CSV/JSON emission.
 
 Exit codes: 0 success, 1 I/O or parse errors, 2 validation failures.
+``validate`` prints a line per check of ``checks.CHECKS``: its verdict, its name
+and its parts, each ``<residual> <= <bound>`` (``>`` where it fails), joined by ``; ``.
 Errors and the warnings a run raises go to stderr as ``ospring: <error>``
 and ``ospring: warning: <message>``, each distinct warning once.
 CSV contract: comma separator, dot decimal, LF line endings, UTF-8, one
@@ -33,11 +35,12 @@ import numpy as np
 
 from . import backaction as ba
 from . import cavity as cav
+from . import checks
 from . import noise as noi
 from . import stability as st
-from . import transfer_optics as to
-from .params import C_LIGHT
-from .runconfig import SWEEP_VARIABLES, ParseError, RunConfig, ValidationError, load_config
+from .runconfig import (
+    SWEEP_VARIABLES, ParseError, RunConfig, SweepSpec, ValidationError, load_config
+)
 
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -196,7 +199,7 @@ def _meta(run: RunConfig, config, cavity) -> dict:
     return meta
 
 
-def _single_sweep(run: RunConfig, kinds) -> "SweepSpec":
+def _single_sweep(run: RunConfig, kinds) -> SweepSpec:
     """The run's one sweep, whose variable must be of one of ``kinds``."""
     if len(run.sweeps) != 1:
         raise ValidationError("this subcommand needs exactly one [sweep] section")
@@ -210,25 +213,16 @@ def _single_sweep(run: RunConfig, kinds) -> "SweepSpec":
     return sweep
 
 
-def _bare_mirror(config, phase=None):
-    """``(rho1, rho2, tau)`` of the bare interferometer at the one-way imbalance
-    phase ``phase``, by default that of the dark port."""
-    if phase is None:
-        phase = cav.dark_port_phase(config.membrane, config.bs, config.dark_port_index)
-    return to.effective_mirror(config.membrane, config.bs, phase)
-
-
 def cmd_darkport(run: RunConfig, config, cavity, args) -> int:
     geom = config.geometry
     offset_dp = cav.dark_port_offset(
         config.membrane, config.bs, geom.wavelength, config.dark_port_index
     )
-    tau = _bare_mirror(config)[2]
     lines = [
         f"dark_port_offset_m = {_fmt(offset_dp)}",
         f"offset_m = {_fmt(config.offset)}",
         f"arm_imbalance_m = {_fmt(cav._phases(config).delta_l)}",
-        f"tau_residual = {_fmt(abs(complex(tau)))}",
+        f"tau_residual = {_fmt(checks.dark_port(config, cavity)[0][0])}",
     ]
     _write_lines(args.out, lines)
     return 0
@@ -331,120 +325,15 @@ def cmd_map(run: RunConfig, config, cavity, args) -> int:
 
 
 def cmd_validate(run: RunConfig, config, cavity, args) -> int:
-    gamma = cavity.half_linewidth
     lines = []
-
-    def check(name, fn):
+    for name, check in checks.CHECKS:
         try:
-            lines.append(("PASS: " if fn() else "FAIL: ") + name)
+            parts = [(_fmt(r), "<=" if r <= b else ">", _fmt(b)) for r, b in check(config, cavity)]
         except Exception as exc:  # a crash is reported as such, not as a missed bound
             lines.append(f"ERROR: {name}: {type(exc).__name__}: {exc}")
-
-    omega = np.linspace(-3.0, 3.0, 201) * max(gamma, 1.0)
-
-    def excess_closure():
-        # the carrier excess (tau, w) at the membrane phases kernel_exact visits
-        # over +-3 gamma, k0*x + h and k0*x + 2h with h = omega*delta_l/(2c),
-        # composed from e0 as the kernel composes them: energy closes,
-        # |rho2_dp*(1 + w)|^2 + tau^2 = 1, and rho2 and tau match the bare
-        # interferometer at the literal phases; the element matrices are unitary
-        ph = cav._phases(config)
-        h = 0.5 * omega / C_LIGHT * ph.delta_l
-        e_h = cav.expm1i(h)
-        tau, w = cav._excess(ph.dark, cav._compose(ph.e0, np.concatenate((e_h, e_h * (2.0 + e_h)))))
-        rho2 = ph.dark.rho2 * (1.0 + w)
-        literal = cav.imbalance_phase(config) + np.concatenate((h, 2.0 * h))
-        _, rho2_bare, tau_bare = _bare_mirror(config, literal)
-        elements = (to.beamsplitter_matrix(config.bs), to.membrane_matrix(config.membrane))
-        return max(
-            np.max(np.abs(np.abs(rho2) ** 2 + tau**2 - 1.0)),
-            np.max(np.abs(rho2 - rho2_bare)),
-            np.max(np.abs(tau - tau_bare)),
-            *(np.max(np.abs(m.conj().T @ m - np.eye(2))) for m in elements),
-        ) <= 1e-12
-
-    def dark_port():
-        return abs(complex(_bare_mirror(config)[2])) < 1e-12
-
-    def carrier_fixed_point():
-        # the closed-form detector-port carrier y closes the loop of the bare
-        # interferometer at the double imbalance phase: y = L*(tau + rho2*y),
-        # L the carrier round trip; y = 0 exactly at zero offset
-        ph = cav._phases(config)
-        y = ba._carrier(config, ph)[0]
-        _, rho2, tau = _bare_mirror(config, cav.imbalance_phase(config))
-        loop = config.srm.reflectivity * (1.0 + ph.e_rt) * ph.dark.u.conjugate()
-        return abs(y - loop * (tau + rho2 * y)) <= 1e-12 * max(abs(y), 1.0)
-
-    def linewidth_gap():
-        # with q = 1 - R_sr*|rho2| the exact width is gamma_exact - gamma =
-        # gamma*(q^2 - T_sr^2*tau^2)/(T_sr^2 + tau^2), so |gap| stays below
-        # gamma*(T_sr^2 + tau^2)/(1 + R_sr*|rho2|)^2; twice that, and rounding
-        _, rho2, tau = _bare_mirror(config, cav.imbalance_phase(config))
-        width = config.srm.transmissivity**2 + abs(tau) ** 2
-        bound = 2.0 * width / (1.0 + config.srm.reflectivity * abs(rho2)) ** 2 + 1e-14
-        return abs(cavity.half_linewidth_exact - gamma) <= bound * gamma
-
-    def noise_closure():
-        spectrum = noi.back_action_spectrum(config, omega[omega != 0.0])
-        closure = np.max(
-            np.abs(spectrum.total - spectrum.laser_part - spectrum.detector_part)
-        ) <= 1e-12 * np.max(spectrum.total)
-        return closure and np.all(spectrum.total >= 0.0)
-
-    def face_fields(config):
-        # the mean membrane-face fields built from the element matrices, from the
-        # closed-form carrier y: incident a = P*m_bs*(1, y), P the fold propagator,
-        # and reflected m_m*a; broadcasts over an array offset
-        y = ba._carrier(config, cav._phases(config))[0]
-        half = np.multiply.outer([-1j, 1j], 0.5 * cav.imbalance_phase(config))
-        a = np.exp(half) * (to.beamsplitter_matrix(config.bs) @ [np.ones_like(y), y])
-        return a, to.membrane_matrix(config.membrane) @ a
-
-    def mean_fields():
-        # closed-form b^T sigma3 a against the face fields, b = conj(m_m*a)
-        y, interference = ba._carrier(config, cav._phases(config))
-        closed = -config.membrane.reflectivity * (1.0 + abs(y) ** 2) + 1j * interference
-        a, b = face_fields(config)
-        b = np.conj(b)
-        return abs(b[0] * a[0] - b[1] * a[1] - closed) <= 1e-12 * abs(closed)
-
-    def kernel_oracle():
-        # static limit, on every configuration: Re K(0) is 2P/c times the offset
-        # derivative of the face-power difference |a1|^2 + |b1|^2 - |a2|^2 - |b2|^2
-        # at a fixed recycling tuning (Richardson central difference; with a step
-        # of 1e-12 m truncation leaves 1.6e-8 of K(0) on fig4a, with 2e-13 m 3e-11)
-        step = 2e-13
-        shifted = cav._replace(config, offset=config.offset + step * np.array([-2, -1, 1, 2]))
-        a, b = face_fields(shifted)
-        power = np.abs(a[0]) ** 2 + np.abs(b[0]) ** 2 - np.abs(a[1]) ** 2 - np.abs(b[1]) ** 2
-        slope = (8.0 * (power[2] - power[1]) - (power[3] - power[0])) / (12.0 * step)
-        static = ba.kernel_exact(config, 0.0).real - 2.0 * config.input_power / C_LIGHT * slope
-        # scaled, as below, by the peak of a +-3 gamma detuning sweep: at zero
-        # detuning with a fully reflective membrane K(0) itself is 0
-        deltas = np.linspace(-3.0, 3.0, 121)[:, None] * gamma
-        swept = cav.with_total_detuning(config, deltas)
-        if not abs(static) <= 1e-8 * np.max(np.abs(ba.kernel_exact(swept, 0.0))):
-            return False
-        tau_sq = 4.0 * cavity.membrane_half_linewidth * config.geometry.cavity_length / C_LIGHT
-        if config.srm.transmissivity**2 > 0.01 or tau_sq > 0.01 or config.bs.asymmetry != 0.0:
-            return True  # outside the narrow-band regime the comparison is not meaningful
-        omega = np.linspace(0.1, 3.0, 31) * gamma
-        exact = ba.kernel_exact(config, omega)
-        approx = ba.kernel_narrowband(cavity, *ba._gain_inputs(config), omega)
-        # the gap against the peak |K| of the detuning sweep at the same omega:
-        # at zero detuning with a fully reflective membrane the narrow-band kernel is 0
-        peak = np.max(np.abs(ba.kernel_exact(swept, omega)), axis=0)
-        return np.max(np.abs(exact - approx) / peak) < 0.05
-
-    check("unitarity_and_energy_closure", excess_closure)
-    check("dark_port_residual", dark_port)
-    check("carrier_loop_fixed_point", carrier_fixed_point)
-    check("narrowband_linewidth_gap", linewidth_gap)
-    check("noise_closure_and_positivity", noise_closure)
-    check("carrier_mean_fields", mean_fields)
-    check("exact_vs_narrowband_kernel", kernel_oracle)
-
+            continue
+        verdict = "PASS" if all(op == "<=" for _, op, _ in parts) else "FAIL"
+        lines.append(f"{verdict}: {name}: " + "; ".join(map(" ".join, parts)))
     _write_lines(args.out, lines)
     return 0 if all(line.startswith("PASS: ") for line in lines) else 2
 

@@ -2,11 +2,13 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 import types
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,9 +20,11 @@ from hypothesis import strategies as hst
 import ospring
 from ospring import backaction as ba
 from ospring import cavity as cav
+from ospring import checks
 from ospring import cli
 from ospring import noise as noi
 from ospring import stability as st
+from ospring.params import C_LIGHT
 from ospring.presets import PRESET_METHODS, PRESET_NAMES, PRESET_SUBCOMMANDS, preset_path
 from ospring.runconfig import PHYSICAL_KEYS, REQUIRED_PHYSICAL, RunConfig, load_config
 
@@ -469,19 +473,116 @@ VALIDATE_CHECKS = [
     "carrier_mean_fields",
     "exact_vs_narrowband_kernel",
 ]
+# the line shape of a passing check: each part "<residual> <= <bound>", joined by "; "
+PASS_LINE = re.compile(r"^PASS: [a-z_]+: [^ ]+ <= [^ ;]+(; [^ ]+ <= [^ ;]+)*$")
+# every check's bounds but the linewidth gap's, which the configuration sets
+VALIDATE_BOUNDS = {
+    "unitarity_and_energy_closure": ["1e-12"],
+    "dark_port_residual": ["1e-12"],
+    "carrier_loop_fixed_point": ["1e-12"],
+    "noise_closure_and_positivity": ["1e-12", "0.0"],
+    "carrier_mean_fields": ["1e-12"],
+    "exact_vs_narrowband_kernel": ["1e-08", "0.05"],
+}
+# the presets outside the narrow-band regime, where the kernel check has no narrow-band part
+WIDE_BAND = ("fig4a", "fig4b")
 
 
 def run_validate(tmp_path, name):
     out = tmp_path / "validate.txt"
-    code = run_cli("validate", "--config", preset_path(name), "--out", str(out))
+    config = name if os.path.isabs(name) else preset_path(name)
+    code = run_cli("validate", "--config", config, "--out", str(out))
     return code, out.read_text().splitlines()
 
 
-@pytest.mark.parametrize(
-    "name", ["fig2c", "fig2d", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b"]
-)
+def verdicts(lines):
+    """Each line's verdict and check name, ``PASS: <name>``, without its numbers."""
+    return [": ".join(line.split(": ")[:2]) for line in lines]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_validate_passes_reference_preset(tmp_path, name):
-    assert run_validate(tmp_path, name) == (0, [f"PASS: {check}" for check in VALIDATE_CHECKS])
+    code, lines = run_validate(tmp_path, name)
+    assert code == 0 and verdicts(lines) == [f"PASS: {check}" for check in VALIDATE_CHECKS]
+    assert all(PASS_LINE.match(line) for line in lines), lines
+    for check, line in zip(VALIDATE_CHECKS, lines):
+        bounds = [part.split(" <= ")[1] for part in line.split(": ", 2)[2].split("; ")]
+        expected = VALIDATE_BOUNDS.get(check, bounds)
+        if check == "exact_vs_narrowband_kernel" and name in WIDE_BAND:
+            expected = expected[:1]
+        assert bounds == expected, (check, line)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_validate_residuals_per_preset(name):
+    # rounding-level residuals stay at rounding, the bounds are those documented,
+    # and the narrow-band part runs exactly inside its regime
+    config, cavity = load_config(preset_path(name)).interferometer()
+    parts = {check: fn(config, cavity) for check, fn in checks.CHECKS}
+    assert list(parts) == VALIDATE_CHECKS
+    for check in VALIDATE_CHECKS[:3] + VALIDATE_CHECKS[5:6]:
+        [(residual, bound)] = parts[check]
+        assert residual <= 2e-15 and bound == 1e-12, (check, residual)
+    (closure, closure_bound), (count, count_bound) = parts["noise_closure_and_positivity"]
+    assert closure <= 2e-15 and closure_bound == 1e-12 and count == count_bound == 0.0
+    [(gap, gap_bound)] = parts["narrowband_linewidth_gap"]
+    _, rho2, tau = ospring.effective_mirror(config.membrane, config.bs, cav.imbalance_phase(config))
+    width = config.srm.transmissivity**2 + abs(tau) ** 2
+    assert gap_bound == 2.0 * width / (1.0 + config.srm.reflectivity * abs(rho2)) ** 2 + 1e-14
+    assert gap <= gap_bound
+    (static, static_bound), *narrowband = parts["exact_vs_narrowband_kernel"]
+    assert static <= 1e-9 and static_bound == 1e-8
+    assert len(narrowband) == (0 if name in WIDE_BAND else 1)
+    for residual, bound in narrowband:
+        assert residual <= 5e-3 and bound == 0.05
+
+
+def test_validate_passes_at_zero_power(tmp_path):
+    # a zero kernel gap over a zero peak reads 0, not NaN, and warns nothing
+    text = Path(preset_path("fig2c")).read_text()
+    cfg = write_cfg(tmp_path, text.replace("input_power_mw = 200", "input_power_mw = 0"))
+    proc = run_cli_process("validate", "--config", cfg)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert verdicts(lines) == [f"PASS: {check}" for check in VALIDATE_CHECKS]
+
+
+def test_validate_fail_line_carries_a_nan_residual(tmp_path, monkeypatch):
+    spectrum = noi.back_action_spectrum
+
+    def one_nan(config, omega):
+        result = spectrum(config, omega)
+        total = result.total.copy()
+        total[0] = np.nan
+        return replace(result, total=total)
+
+    monkeypatch.setattr(noi, "back_action_spectrum", one_nan)
+    code, lines = run_validate(tmp_path, "fig2c")
+    assert code == 2
+    assert lines[4].startswith("FAIL: noise_closure_and_positivity: nan > 1e-12"), lines[4]
+    assert all(PASS_LINE.match(line) for line in lines[:4] + lines[5:]), lines
+
+
+def test_validate_fail_line_at_the_narrowband_gate(tmp_path):
+    # a real operating point with tau^2 = 0.0098, inside the 0.01 gate, where
+    # the narrow-band kernel is 5.8 % off the exact one: no mutant needed
+    text = Path(preset_path("fig2c")).read_text()
+    for old, new in [
+        ("membrane_power_reflectivity = 0.17", "membrane_power_reflectivity = 0.10783680438723978"),
+        ("sr_power_transmissivity = 3e-4", "sr_power_transmissivity = 0.0008093698172414308"),
+        ("dark_port_index = 3", "dark_port_index = 1"),
+        ("offset_xi_lambda0 = 0.01", "offset_xi_lambda0 = -0.048764990558743795"),
+        ("detuning_over_gamma = 0.0", "detuning_over_gamma = 0.3055377449154806"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    config, cavity = load_config(write_cfg(tmp_path, text)).interferometer()
+    tau_sq = 4.0 * cavity.membrane_half_linewidth * config.geometry.cavity_length / C_LIGHT
+    assert 0.0097 < tau_sq < 0.01
+    code, lines = run_validate(tmp_path, str(tmp_path / "run.cfg"))
+    assert code == 2 and all(PASS_LINE.match(line) for line in lines[:-1]), lines
+    pattern = r"^FAIL: exact_vs_narrowband_kernel: [^ ]+ <= 1e-08; 0\.0576\d* > 0\.05$"
+    assert re.match(pattern, lines[-1]), lines[-1]
 
 
 def test_validate_catches_a_wrong_narrowband_damping(tmp_path, monkeypatch):
@@ -490,7 +591,7 @@ def test_validate_catches_a_wrong_narrowband_damping(tmp_path, monkeypatch):
     narrowband = ba.kernel_narrowband
     monkeypatch.setattr(ba, "kernel_narrowband", lambda *a, **k: np.conj(narrowband(*a, **k)))
     code, lines = run_validate(tmp_path, "fig2c")
-    assert code == 2 and "FAIL: exact_vs_narrowband_kernel" in lines
+    assert code == 2 and "FAIL: exact_vs_narrowband_kernel" in verdicts(lines)
 
 
 @pytest.mark.parametrize(
@@ -506,7 +607,7 @@ def test_validate_catches_a_wrong_carrier(tmp_path, monkeypatch, fault, check):
     carrier = ba._carrier
     monkeypatch.setattr(ba, "_carrier", lambda *args: fault(*carrier(*args)))
     code, lines = run_validate(tmp_path, "fig2c")
-    assert code == 2 and f"FAIL: {check}" in lines
+    assert code == 2 and f"FAIL: {check}" in verdicts(lines)
 
 
 @pytest.mark.parametrize("name", ["fig2c", "fig4b"])
@@ -515,7 +616,7 @@ def test_validate_catches_a_wrong_sideband_composition(tmp_path, monkeypatch, na
     # e_a*e_b: off by (k0*x)*h, 1e-12 to 1e-8 on the presets, which no other check sees
     monkeypatch.setattr(cav, "_compose", lambda e_a, e_b: e_a + e_b)
     code, lines = run_validate(tmp_path, name)
-    assert code == 2 and "FAIL: unitarity_and_energy_closure" in lines
+    assert code == 2 and "FAIL: unitarity_and_energy_closure" in verdicts(lines)
 
 
 def test_validate_catches_a_wrong_exact_linewidth(tmp_path, monkeypatch):
@@ -531,7 +632,7 @@ def test_validate_catches_a_wrong_exact_linewidth(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cav, "effective_cavity", wrong)
     code, lines = run_validate(tmp_path, "fig2c")
-    assert code == 2 and "FAIL: narrowband_linewidth_gap" in lines
+    assert code == 2 and "FAIL: narrowband_linewidth_gap" in verdicts(lines)
 
 
 def test_validate_reports_a_crashing_check_as_an_error(tmp_path, monkeypatch):
@@ -542,8 +643,9 @@ def test_validate_reports_a_crashing_check_as_an_error(tmp_path, monkeypatch):
     code, lines = run_validate(tmp_path, "fig2c")
     assert code == 2
     expected = [f"PASS: {check}" for check in VALIDATE_CHECKS]
-    expected[4] = "ERROR: noise_closure_and_positivity: ZeroDivisionError: no spectrum"
-    assert lines == expected
+    expected[4] = "ERROR: noise_closure_and_positivity"
+    assert verdicts(lines) == expected
+    assert lines[4] == "ERROR: noise_closure_and_positivity: ZeroDivisionError: no spectrum"
 
 
 @pytest.mark.parametrize("name", ["fig4a", "fig4b"])
@@ -559,12 +661,23 @@ def test_validate_catches_a_wrong_static_kernel(tmp_path, monkeypatch, name):
     monkeypatch.setattr(ba, "kernel_exact", mutant.kernel_exact)
     expected = [f"PASS: {check}" for check in VALIDATE_CHECKS]
     expected[-1] = "FAIL: exact_vs_narrowband_kernel"
-    assert run_validate(tmp_path, name) == (2, expected)
+    code, lines = run_validate(tmp_path, name)
+    assert (code, verdicts(lines)) == (2, expected)
 
 
 @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c", "fig3d"])
 def test_validate_mean_field_check_on_free_mass_presets(tmp_path, name):
-    assert "PASS: carrier_mean_fields" in run_validate(tmp_path, name)[1]
+    assert "PASS: carrier_mean_fields" in verdicts(run_validate(tmp_path, name)[1])
+
+
+def test_cli_annotations_resolve():
+    # every annotation of a function cli defines names something cli imports
+    functions = [
+        f for f in vars(cli).values() if inspect.isfunction(f) and f.__module__ == cli.__name__
+    ]
+    assert cli._single_sweep in functions
+    for function in functions:
+        typing.get_type_hints(function)
 
 
 def test_deterministic_output(tmp_path):
