@@ -15,6 +15,9 @@ of rows as they are formatted, same bytes.  Columns of a table must be
 equally long, or nothing is written (exit 2).  A column may be categorical,
 its distinct values formatted once: ``map`` passes its ``delta`` and ``xi``
 axes and its labels so, and holds two floats and one byte per grid cell.
+``[output]`` shapes only these tables (``spectrum``, ``backaction``,
+``stability`` and ``map``; :func:`_emit_table`); ``darkport``, ``cavity`` and
+``validate`` write their lines to ``--out`` or stdout.
 
 ``main`` resolves the configuration's operating point and its effective
 cavity once (:meth:`ospring.runconfig.RunConfig.interferometer`) and hands
@@ -136,17 +139,18 @@ def _emit_table(
     header, columns, run: RunConfig, config, cavity, out: str | None, fmt: str | None, normalized=()
 ) -> None:
     """Write a table of equally long columns: arrays, sequences or
-    ``_Categorical`` columns.  Under ``[output] normalize`` the float columns
-    named in ``normalized`` are written divided by their peak |value|."""
+    ``_Categorical`` columns.  Under ``[output] normalize`` each block of a
+    float column that ``normalized`` maps to a column name (itself, or the
+    spectrum's ``s_f`` for its parts) is divided by that column's peak |value|."""
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
     columns = [_column(column) for column in columns]
     lengths = sorted({len(column) for column in columns})
     if len(lengths) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
-    if not run.output.normalize:
-        normalized = ()
-    peaks = [_peak(c) if name in normalized else None for name, c in zip(header, columns)]
+    divisor = dict(normalized) if run.output.normalize else {}
+    peak_of = {name: _peak(c) for name, c in zip(header, columns) if name in divisor.values()}
+    peaks = [peak_of[divisor[name]] if name in divisor else None for name in header]
     if fmt == "csv":
         with _open(path) as dest:
             _write_text(dest, ",".join(header) + "\n")
@@ -245,11 +249,10 @@ def cmd_cavity(run: RunConfig, config, cavity, args) -> int:
 def cmd_spectrum(run: RunConfig, config, cavity, args) -> int:
     omega = run.sweep_grid(_single_sweep(run, ("omega",)), config, cavity)
     spectrum = noi.back_action_spectrum(config, omega)
-    if run.output.normalize:
-        spectrum = spectrum.normalized()
     columns = [spectrum.omega, spectrum.total, spectrum.laser_part, spectrum.detector_part]
     header = ["omega_rad_s", "s_f", "laser_part", "detector_part"]
-    _emit_table(header, columns, run, config, cavity, args.out, args.format)
+    by_total = dict.fromkeys(header[1:], "s_f")  # the parts share the total's peak
+    _emit_table(header, columns, run, config, cavity, args.out, args.format, by_total)
     return 0
 
 
@@ -285,7 +288,8 @@ def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
 
     header = ["sweep_var", "k_re", "k_im", "spring_n_per_m", "damping_ns_per_m"]
     columns = [sweep.grid(), kernel.real, kernel.imag, spring, damping]
-    _emit_table(header, columns, run, config, cavity, args.out, args.format, header[1:])
+    by_itself = {name: name for name in header[1:]}
+    _emit_table(header, columns, run, config, cavity, args.out, args.format, by_itself)
     return 0
 
 
@@ -297,7 +301,8 @@ def cmd_stability(run: RunConfig, config, cavity, args) -> int:
 
     header = ["delta_rad_s", "spring", "damping", "regime_label", "rh_stable"]
     columns = [report.deltas, report.spring, report.damping, report.labels, report.rh_verdicts]
-    _emit_table(header, columns, run, config, cavity, args.out, args.format, header[1:3])
+    by_itself = {name: name for name in header[1:3]}
+    _emit_table(header, columns, run, config, cavity, args.out, args.format, by_itself)
     return 0
 
 
@@ -320,7 +325,8 @@ def cmd_map(run: RunConfig, config, cavity, args) -> int:
         grid.damping.ravel(),
         _Categorical(st.REGIME_LABELS, grid.codes),
     ]
-    _emit_table(header, columns, run, config, cavity, args.out, args.format, header[2:4])
+    by_itself = {name: name for name in header[2:4]}
+    _emit_table(header, columns, run, config, cavity, args.out, args.format, by_itself)
     return 0
 
 
@@ -359,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run-configuration file")
-        p.add_argument("--out", default=None, help="output path (default: [output] path or stdout)")
+        out = "stdout" if name in ("darkport", "cavity", "validate") else "[output] path or stdout"
+        p.add_argument("--out", default=None, help=f"output path (default: {out})")
         p.add_argument("--format", default=None, choices=("csv", "json"))
         if name == "backaction":
             p.add_argument(

@@ -27,15 +27,6 @@ class NoiseSpectrum:
     laser_part: np.ndarray
     detector_part: np.ndarray
 
-    def normalized(self) -> "NoiseSpectrum":
-        """All three curves divided by the peak of the total density."""
-        peak = float(np.max(self.total))
-        if not peak > 0.0:
-            return self
-        return NoiseSpectrum(
-            self.omega, self.total / peak, self.laser_part / peak, self.detector_part / peak
-        )
-
 
 def back_action_spectrum(config: InterferometerConfig, omega) -> NoiseSpectrum:
     """Unsymmetrized back-action force noise density over a signed grid;

@@ -9,6 +9,7 @@ import textwrap
 import tracemalloc
 import types
 import typing
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,16 +204,38 @@ def test_darkport_and_cavity_output(tmp_path):
     assert values["half_linewidth_rad_s"] == pytest.approx(2 * math.pi * 133e3, rel=0.02)
 
 
-def test_spectrum_zero_power_all_zero(tmp_path):
-    text = Path(preset_path("fig4a")).read_text().replace(
-        "input_power_mw = 200", "input_power_mw = 0"
-    ).replace("normalize = true", "normalize = false")
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "zero.csv"
-    assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
-    header, columns = read_csv_columns(out)
-    assert header == ["omega_rad_s", "s_f", "laser_part", "detector_part"]
-    assert all(float(v) == 0.0 for v in columns[1])
+@pytest.mark.parametrize("command", ["darkport", "cavity", "validate"])
+def test_text_subcommands_ignore_output_path(monkeypatch, tmp_path, capsys, command):
+    # [output] shapes only the tables; fig2d sets path = fig2d.csv
+    assert "path = fig2d.csv" in Path(preset_path("fig2d")).read_text()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, "--config", preset_path("fig2d"), "--out", "given.txt") == 0
+    assert run_cli(command, "--config", preset_path("fig2d")) == 0
+    assert capsys.readouterr().out == (tmp_path / "given.txt").read_text()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["given.txt"]
+
+
+def test_spectrum_zero_power_all_zero(tmp_path, capsys):
+    text = Path(preset_path("fig4a")).read_text()
+    text = text.replace("input_power_mw = 200", "input_power_mw = 0")
+    # normalized too: a zero peak leaves the columns as they are, without a warning
+    for normalize in ("false", "true"):
+        cfg = write_cfg(tmp_path, text.replace("normalize = true", f"normalize = {normalize}"))
+        out = tmp_path / "zero.csv"
+        assert run_cli("spectrum", "--config", cfg, "--out", str(out)) == 0
+        header, columns = read_csv_columns(out)
+        assert header == ["omega_rad_s", "s_f", "laser_part", "detector_part"]
+        assert {v for column in columns[1:] for v in column} == {"0.0"}, normalize
+        assert capsys.readouterr().err == ""
+
+
+def test_normalized_spectrum_peak_is_one(tmp_path):
+    # fig4b sets normalize: the parts are divided by the peak of the total, so they still sum to it
+    out = tmp_path / "fig4b.csv"
+    assert run_cli("spectrum", "--config", preset_path("fig4b"), "--out", str(out)) == 0
+    total, laser, detector = (np.array(c, dtype=float) for c in read_csv_columns(out)[1][1:])
+    assert total.max() == 1.0
+    assert np.max(np.abs(laser + detector - total)) < 1e-12
 
 
 def test_freemass_spring_sign_changes_at_linewidth(tmp_path):
@@ -423,6 +446,21 @@ def test_map_subcommand_long_format(tmp_path):
     labels = set(columns[4])
     assert labels <= {"cooling", "heating", "stable_spring", "unstable_spring", "neutral"}
     assert "stable_spring" in labels
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_sweep_order_does_not_matter(tmp_path, fmt):
+    text = Path(preset_path("fig3d")).read_text()
+    physical, output = text[: text.index("[sweep]")], text[text.index("[output]") :]
+    detuning = "variable = detuning_over_gamma\nstart = -3\nstop = 3\npoints = 41\n"
+    offset = "variable = offset_xi_lambda0\nstart = 0.0003\nstop = 0.003\npoints = 5\n"
+    outputs = []
+    for first, second in ((detuning, offset), (offset, detuning)):
+        cfg = write_cfg(tmp_path, f"{physical}[sweep]\n{first}\n[sweep2]\n{second}\n{output}")
+        out = tmp_path / "map"
+        assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_stability_subcommand_columns(tmp_path):
@@ -802,11 +840,12 @@ def _reference_fmt(value) -> str:
 def _reference_emit_table(header, columns, run, config, cavity, out, fmt, normalized=()):
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
-    if run.output.normalize:  # each named column by its peak |value|, whole
+    if run.output.normalize:  # each named column by the peak |value| of its divisor, whole
+        given, divisor = dict(zip(header, columns)), dict(normalized)
         columns = list(columns)
         for i, name in enumerate(header):
-            if name in normalized:
-                peak = np.max(np.abs(columns[i]))
+            if name in divisor:
+                peak = np.max(np.abs(given[divisor[name]]))
                 if peak > 0.0:
                     columns[i] = np.asarray(columns[i]) / peak
     if fmt == "csv":
@@ -1000,6 +1039,32 @@ def test_map_memory_per_cell(tmp_path, fmt):
     assert plain <= 48, plain
     # normalization divides each emitted block and copies no column (16 B a cell)
     assert normalized <= plain + 4, (plain, normalized)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_normalized_spectrum_memory(monkeypatch, tmp_path, fmt):
+    """tracemalloc's peak while ``spectrum`` writes a 10**5-point fig4b
+    spectrum computed beforehand: normalized, as plain.  The exact spectrum's
+    own block temporaries would set the peak of a whole traced run."""
+    text = Path(preset_path("fig4b")).read_text().replace("points = 501", "points = 100000")
+    run = load_config(write_cfg(tmp_path, text))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fig4b is outside the narrow-band regime
+        config, cavity = run.interferometer()
+    spectrum = noi.back_action_spectrum(config, run.sweep_grid(run.sweeps[0], config, cavity))
+    monkeypatch.setattr(noi, "back_action_spectrum", lambda config, omega: spectrum)
+    peaks = {}
+    for normalize in ("false", "true"):
+        cfg = write_cfg(tmp_path, text.replace("normalize = true", f"normalize = {normalize}"))
+        argv = ["spectrum", "--config", cfg, "--format", fmt, "--out", str(tmp_path / "s")]
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peaks[normalize] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # normalization divides each emitted block; a copy of the three densities takes 2.3 MiB
+    assert peaks["true"] <= peaks["false"] + 2**19, peaks
 
 
 EMITTING_COMMANDS = (
@@ -1219,3 +1284,29 @@ def test_warning_line_follows_an_error(tmp_path):
         "ospring: the freemass method needs a detuning sweep\n"
         f"ospring: warning: {NARROWBAND_WARNING}\n"
     )
+
+
+SWEEP2_DETUNING = "\n[sweep2]\nvariable = detuning_rad_s\nstart = -1e6\nstop = 1e6\npoints = 3\n"
+IO_ERROR = "ospring: i/o error: [Errno 2] No such file or directory: "
+
+
+@pytest.mark.parametrize(
+    "command, preset, edit, out, code, line",
+    [
+        ("map", "fig3d", str, "out", 2,
+         "ospring: the map subcommand needs [sweep] and [sweep2] sections"),
+        ("map", "fig3d", lambda text: text + SWEEP2_DETUNING, "out", 2,
+         "ospring: map sweeps must cover a detuning key and offset_xi_lambda0"),
+        ("cavity", "fig2c", lambda text: text[text.index("[sweep]") :], "out", 2,
+         "ospring: missing required section [physical]"),
+        ("spectrum", "fig4a", str, "absent/out", 1, IO_ERROR),
+        ("darkport", "fig2c", str, "absent/out", 1, IO_ERROR),
+    ],
+    ids=["map_one_sweep", "map_two_detunings", "no_physical", "spectrum_out", "darkport_out"],
+)
+def test_rare_exits_state_one_line(tmp_path, command, preset, edit, out, code, line):
+    cfg = write_cfg(tmp_path, edit(Path(preset_path(preset)).read_text()))
+    proc = run_cli_process(command, "--config", cfg, "--out", str(tmp_path / out))
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / out).exists()

@@ -229,14 +229,6 @@ def test_interference_profile_structure(asym_config):
     assert 0.1 < fraction < 1.0
 
 
-def test_normalized_peak_is_one(narrow_config):
-    grid = np.linspace(-3e6, 3e6, 101)
-    normalized = noi.back_action_spectrum(narrow_config, grid).normalized()
-    assert normalized.total.max() == pytest.approx(1.0, abs=0.0)
-    closure = normalized.laser_part + normalized.detector_part
-    assert np.max(np.abs(normalized.total - closure)) < 1e-12
-
-
 def test_exact_path_peak_memory(narrow_config):
     # traced peak of a long sweep in complex columns of its length: 11.0 for the
     # kernel (9.6e4 points) and 13.6 for the spectrum (8e4) when every
