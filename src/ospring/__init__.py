@@ -39,7 +39,6 @@ from .stability import (
     RegimeMap,
     StabilityReport,
     characteristic_polynomial,
-    classify_regimes,
     find_zero_crossings,
     regime_map,
     roots_stable,

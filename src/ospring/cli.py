@@ -13,8 +13,9 @@ array element per line, non-finite floats spelled ``NaN``/``Infinity``/
 ``-Infinity`` as ``json`` spells them.  Both formats are written in blocks
 of rows as they are formatted, same bytes.  Columns of a table must be
 equally long, or nothing is written (exit 2).  A column may be categorical,
-its distinct values formatted once: ``map`` passes its ``delta`` and ``xi``
-axes and its labels so, and holds two floats and one byte per grid cell.
+its distinct values formatted once: ``stability`` and ``map`` pass their
+regime labels so, as uint8 codes into ``stability.REGIME_LABELS``, and ``map``
+its ``delta`` and ``xi`` axes too, holding two floats and one byte per grid cell.
 ``[output]`` shapes only these tables (``spectrum``, ``backaction``,
 ``stability`` and ``map``; :func:`_emit_table`); ``darkport``, ``cavity`` and
 ``validate`` write their lines to ``--out`` or stdout.
@@ -86,29 +87,25 @@ class _Categorical:
 
 
 def _column(column):
-    """A column as an array of a kind that ``_cells`` formats (bool, str,
-    integer or float64), or a ``_Categorical`` with its categories so
-    converted, before any output is opened."""
+    """A column as an array of a kind that ``_cells`` formats (bool, str or
+    float64), or a ``_Categorical`` with its categories so converted, before
+    any output is opened."""
     if isinstance(column, _Categorical):
         return _Categorical(_column(column.categories), column.codes)
     arr = np.asarray(column)
-    return arr if arr.dtype.kind in "bUiu" else np.asarray(arr, dtype=np.float64)
+    return arr if arr.dtype.kind in "bU" else np.asarray(arr, dtype=np.float64)
 
 
 def _cells(arr: np.ndarray, as_json: bool) -> list[str]:
     """A block of a ``_column`` array as cell strings, its type dispatched
-    once.  JSON turns integers into floats and spells non-finite values as
-    ``json`` does."""
+    once.  JSON spells non-finite values as ``json`` does."""
     kind = arr.dtype.kind
     if kind == "b":
         return ["true" if v else "false" for v in arr.tolist()]
     if kind == "U":
         return list(map(encode_basestring_ascii, arr.tolist())) if as_json else arr.tolist()
-    if kind in "iu" and not as_json:
-        return list(map(str, arr.tolist()))
-    values = arr.astype(np.float64, copy=False)
-    cells = list(map(float.__repr__, values.tolist()))
-    if as_json and not np.isfinite(values).all():
+    cells = list(map(float.__repr__, arr.tolist()))
+    if as_json and not np.isfinite(arr).all():
         cells = [_JSON_NON_FINITE.get(text, text) for text in cells]
     return cells
 
@@ -300,7 +297,8 @@ def cmd_stability(run: RunConfig, config, cavity, args) -> int:
     report = st.stability_report(config, oscillator, deltas, oscillator.resonance_frequency)
 
     header = ["delta_rad_s", "spring", "damping", "regime_label", "rh_stable"]
-    columns = [report.deltas, report.spring, report.damping, report.labels, report.rh_verdicts]
+    labels = _Categorical(st.REGIME_LABELS, report.codes)
+    columns = [report.deltas, report.spring, report.damping, labels, report.rh_verdicts]
     by_itself = {name: name for name in header[1:3]}
     _emit_table(header, columns, run, config, cavity, args.out, args.format, by_itself)
     return 0

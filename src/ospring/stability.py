@@ -194,16 +194,6 @@ def roots_stable(coeffs):
     return np.all(roots.real < 0.0, axis=-1) & (c[..., -1] != 0.0)
 
 
-def classify_regimes(spring, damping):
-    """Sign-based regime labels with a neutral band around either zero, of
-    ``NEUTRAL_FLOOR`` times the curve's largest magnitude: the strings of
-    ``REGIME_LABELS`` (dtype ``U15``) that :func:`_regime_codes` indexes."""
-    spring = np.asarray(spring, dtype=float)
-    damping = np.asarray(damping, dtype=float)
-    codes = _regime_codes(spring, damping, *_neutral_floors(spring, damping))
-    return _LABELS[codes.ravel()].reshape(codes.shape)  # 0-d codes give a 0-d array too
-
-
 def _neutral_floors(spring, damping):
     """``NEUTRAL_FLOOR`` times the largest magnitude of each curve (NaN if the
     curve has a NaN), without a temporary of the curve's size."""
@@ -269,10 +259,21 @@ def _numerator_roots(cavity: EffectiveCavity, omega_eval: float | None, lo: floa
     return [np.array(sorted(set(x[(lo < x) & (x < hi)] + 0.0))) for x in roots]
 
 
+class _Coded:
+    """A result that stores its regimes as uint8 ``codes`` into ``REGIME_LABELS``."""
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The regime label strings (dtype ``U15``), built from the codes on
+        each access."""
+        return _LABELS[self.codes]
+
+
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(_Coded):
     """Zero crossings, stable-spring windows and per-point verdicts over a
-    detuning sweep; the two stability oracles are reported side by side."""
+    detuning sweep, the two stability oracles side by side, and per point a
+    uint8 regime code into ``REGIME_LABELS``."""
 
     deltas: np.ndarray
     spring: np.ndarray
@@ -282,7 +283,7 @@ class StabilityReport:
     stable_windows: list[tuple[float, float]]
     rh_verdicts: np.ndarray
     root_verdicts: np.ndarray
-    labels: np.ndarray
+    codes: np.ndarray
 
 
 def stability_report(
@@ -320,14 +321,14 @@ def stability_report(
     rh = routh_hurwitz_stable(coeffs)
     direct = roots_stable(coeffs)
 
-    labels = classify_regimes(spring, damping)
+    codes = _regime_codes(spring, damping, *_neutral_floors(spring, damping))
     return StabilityReport(
-        deltas, spring, damping, spring_zeros, damping_zeros, windows, rh, direct, labels
+        deltas, spring, damping, spring_zeros, damping_zeros, windows, rh, direct, codes
     )
 
 
 @dataclass(frozen=True)
-class RegimeMap:
+class RegimeMap(_Coded):
     """Regimes over a detuning x offset grid (rows indexed by offset): the
     spring and damping, and per cell a uint8 code into ``REGIME_LABELS``."""
 
@@ -336,12 +337,6 @@ class RegimeMap:
     spring: np.ndarray
     damping: np.ndarray
     codes: np.ndarray
-
-    @property
-    def labels(self) -> np.ndarray:
-        """The regime label strings (dtype ``U15``), built from the codes on
-        each access."""
-        return _LABELS[self.codes]
 
 
 def regime_map(

@@ -15,8 +15,11 @@ the closed forms are checked against; the function stays public for that
 path and for the benchmark harness, which times it by name.
 :func:`effective_mirror` takes its imbalance phase literally; ``validate``
 and the tests use it as the element-algebra reference for the closed-form
-carrier excess of :mod:`ospring.cavity`.  The package propagates no phase
-literally: every phase it runs is pinned to the operating point.
+carrier excess of :mod:`ospring.cavity`.  The model (``cavity``,
+``backaction``, ``noise``) propagates no phase literally: every phase it runs
+is pinned to the operating point.  The references of :mod:`ospring.checks`
+do: its face fields apply exp(+-i*imbalance/2), and ``validate`` evaluates
+:func:`effective_mirror` at literal phases.
 """
 
 from __future__ import annotations

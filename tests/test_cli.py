@@ -840,6 +840,10 @@ def _reference_fmt(value) -> str:
 def _reference_emit_table(header, columns, run, config, cavity, out, fmt, normalized=()):
     fmt = fmt or run.output.fmt
     path = out if out is not None else run.output.path
+    columns = [  # each categorical column spelled out in full
+        np.asarray(c.categories)[np.ravel(c.codes)] if isinstance(c, cli._Categorical) else c
+        for c in columns
+    ]
     if run.output.normalize:  # each named column by the peak |value| of its divisor, whole
         given, divisor = dict(zip(header, columns)), dict(normalized)
         columns = list(columns)
@@ -885,18 +889,17 @@ def _synthetic_table(rows):
     floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5])
     labels = np.array(["cooling", "heating", 'say "hi"', "héating", "neutral", "stable_spring"] * 2,
                       dtype="U15")
-    header = ["float", "strided", "np_bool", "py_bool", "int", "label", "float_codes", "label_codes"]
+    header = ["float", "strided", "np_bool", "py_bool", "label", "float_codes", "label_codes"]
     columns = [
         floats[pattern],
         (np.linspace(-1.0, 1.0, rows) * (1.0 - 2.0j)).imag,  # non-contiguous view
         pattern % 3 == 0,
         [i % 2 == 0 for i in pattern.tolist()],
-        pattern.astype(np.int64) * 10**15 + 2**53 + 1,
         labels[pattern],
         cli._Categorical(floats, pattern.astype(np.uint8)),
         cli._Categorical(list(labels[:6]), np.broadcast_to(pattern[:, None] % 6, (rows, 1))),
     ]
-    spelled = columns[:6] + [floats[pattern], labels[pattern % 6]]
+    spelled = columns[:5] + [floats[pattern], labels[pattern % 6]]
     return header, columns, spelled
 
 
@@ -916,7 +919,7 @@ def test_emitter_bytes_on_synthetic_table(tmp_path, capsys, fmt):
             payload = json.loads(outputs[1])
             assert str(payload["float"]) == str(columns[0].tolist())  # nan, inf, -0.0 spelled
             assert str(payload["float_codes"]) == str(columns[0].tolist())
-            assert payload["label"] == columns[5].tolist()
+            assert payload["label"] == columns[4].tolist()
     # the last table again, to stdout: no --out and no [output] path
     to_stdout = replace(run, output=replace(run.output, path=None))
     capsys.readouterr()
@@ -925,7 +928,7 @@ def test_emitter_bytes_on_synthetic_table(tmp_path, capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("short", range(8))
+@pytest.mark.parametrize("short", range(7))
 def test_unequal_columns_raise_before_output(tmp_path, fmt, short):
     # CSV once wrote rows up to the shortest column, and JSON every column whole
     run = load_config(preset_path("fig2c"))
@@ -1310,3 +1313,32 @@ def test_rare_exits_state_one_line(tmp_path, command, preset, edit, out, code, l
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1, proc.stderr
     assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("membrane_power_reflectivity", "1.5", "power reflectivity must lie in [0, 1]"),
+        ("sr_power_transmissivity", "-0.1", "power transmissivity must lie in [0, 1]"),
+        ("half_arm_m", "0", "half_arm must be positive"),
+        ("wavelength_nm", "0", "wavelength must be positive"),
+        ("input_power_mw", "-1", "input power must be non-negative"),
+        ("dark_port_index", "2", "dark port index must be a positive odd integer"),
+        ("bs_asymmetry", "1.0", "beamsplitter asymmetry must lie strictly in (-1, 1)"),
+        ("membrane_power_reflectivity", "0.0", "a fully transmissive membrane has no dark output"),
+        ("bs_asymmetry", "0.9",
+         "no dark output: required cosine -4.56226 falls outside [-1, 1]"),
+    ],
+    ids=["reflectivity", "transmissivity", "half_arm", "wavelength", "input_power",
+         "dark_port_index", "bs_asymmetry", "transparent_membrane", "no_dark_output"],
+)
+def test_operating_point_faults_state_one_line(tmp_path, capsys, key, value, message):
+    # ranges are checked when the operating point is resolved, after the file loads
+    text, edits = re.subn(
+        rf"^{key} = .*$", f"{key} = {value}", Path(preset_path("fig2c")).read_text(), flags=re.M
+    )
+    assert edits == 1
+    out = tmp_path / "out.csv"
+    assert run_cli("backaction", "--config", write_cfg(tmp_path, text), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"ospring: {message}\n"
+    assert not out.exists()

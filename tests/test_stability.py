@@ -589,7 +589,7 @@ def test_finite_frequency_regime_map_rows_match_single_offset_sweeps(narrow_conf
         )
         assert np.array_equal(grid.spring[i], spring)
         assert np.array_equal(grid.damping[i], damping)
-    assert np.array_equal(grid.labels, st.classify_regimes(grid.spring, grid.damping))
+    assert np.array_equal(grid.labels, _reference_labels(grid.spring, grid.damping))
     with pytest.raises(ValueError):
         st.regime_map(narrow_config, np.array([]), offsets, 0.5 * gamma)
 
@@ -606,13 +606,18 @@ def test_quasi_static_regime_map_rows_match_single_offset_sweeps(narrow_config, 
         spring, damping = st._spring_damping_sweep(row, cav.effective_cavity(row), deltas, None)
         assert np.array_equal(grid.spring[i], spring)
         assert np.array_equal(grid.damping[i], damping)
-    assert np.array_equal(grid.labels, st.classify_regimes(grid.spring, grid.damping))
+    assert np.array_equal(grid.labels, _reference_labels(grid.spring, grid.damping))
+
+
+def _codes(spring, damping):
+    """The regime codes, classified as ``stability_report`` and ``regime_map`` do."""
+    return st._regime_codes(spring, damping, *st._neutral_floors(spring, damping))
 
 
 def test_classify_regimes_neutral_floor():
     spring = np.array([1.0, -1.0, 1e-15, 1.0])
     damping = np.array([1.0, 1.0, 1.0, -1e-15])
-    labels = st.classify_regimes(spring, damping)
+    labels = st._LABELS[_codes(spring, damping)]
     assert list(labels) == ["stable_spring", "cooling", "neutral", "neutral"]
 
 
@@ -642,9 +647,10 @@ AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e-13, -1e-13, 1.0, -1.0, 3.5, -2.0, np.i
 def test_classify_regimes_matches_mask_reference(pairs, scale):
     spring, damping = (np.array(column) * scale for column in zip(*pairs))
     with np.errstate(all="ignore"):
-        labels = st.classify_regimes(spring, damping)
+        codes = _codes(spring, damping)
         reference = _reference_labels(spring, damping)
-    assert labels.dtype == np.dtype("U15") and np.array_equal(labels, reference)
+    labels = st._LABELS[codes]
+    assert codes.dtype == np.uint8 and np.array_equal(labels, reference)
 
 
 def test_regime_map_stores_codes_and_builds_labels(narrow_config):
@@ -655,4 +661,15 @@ def test_regime_map_stores_codes_and_builds_labels(narrow_config):
     assert grid.labels.dtype == np.dtype("U15")
     assert np.array_equal(grid.labels, _reference_labels(grid.spring, grid.damping))
     assert np.array_equal(np.array(st.REGIME_LABELS)[grid.codes], grid.labels)
-    assert st.classify_regimes(1.0, -2.0).shape == ()  # a 0-d input gives a 0-d array
+
+
+@pytest.mark.parametrize("name", ["fig2c", "fig2d"])
+def test_stability_report_stores_codes_and_builds_labels(name):
+    run = load_config(preset_path(name))
+    config, cavity = run.interferometer()
+    deltas = run.sweep_grid(run.sweeps[0], config, cavity)
+    oscillator = run.oscillator()
+    report = st.stability_report(config, oscillator, deltas, oscillator.resonance_frequency)
+    assert report.codes.dtype == np.uint8 and report.codes.shape == deltas.shape
+    assert report.labels.dtype == np.dtype("U15")
+    assert np.array_equal(report.labels, _reference_labels(report.spring, report.damping))
