@@ -97,17 +97,19 @@ def _feedback_term(config: InterferometerConfig, ph: cav._Phases, y, omega, e_h)
     g_a0 = -(2j * c * dark.p.imag + y * asym / rm * dark.u)
     g_b0 = -y * asym / rm - dark.beta1.conjugate()
 
+    # Complex-by-complex products are formed out of place: numpy multiplies a
+    # one-element complex array in place by another path than its array loop,
+    # which rounds otherwise.  Adds and real scalings round alike either way.
     _, w = cav._excess(dark, cav._compose(ph.e0, e_h * (2.0 + e_h)))
     e_phi = cav._recycling_factor(config, omega)
     rho = 1.0 + e_phi
     denom = cav._denominator(config, w, e_phi, rho)
     del w, e_phi
-    rho *= dark.u.conjugate()
+    rho = rho * dark.u.conjugate()
     rho *= rm * r_sr
     common = rho / denom
     del rho, denom
 
-    # not in place: a one-row grid's z has one element (see cavity._blockwise)
     z = cav._compose(ph.e0, e_h) * dark.p
     z_bar = z.conjugate()
     a_z = c + y * tb**2
@@ -115,7 +117,7 @@ def _feedback_term(config: InterferometerConfig, ph: cav._Phases, y, omega, e_h)
     g *= -1.0
     g += g_a0
     g += z_bar * (c - y * rb**2)
-    common *= g  # common * g^T a
+    common = common * g  # common * g^T a
     g = z * (rb**2 + y * c)
     g += z_bar * (y * c - tb**2)
     g *= tm
@@ -125,8 +127,7 @@ def _feedback_term(config: InterferometerConfig, ph: cav._Phases, y, omega, e_h)
     h_terms -= e_h.conjugate() * a_z
     h_terms *= rm
     g += h_terms
-    common *= _conj(g)
-    return common
+    return common * _conj(g)
 
 
 def kernel_exact(config: InterferometerConfig, omega):
@@ -143,11 +144,9 @@ def kernel_exact(config: InterferometerConfig, omega):
     once (:func:`ospring.cavity._phases`); the membrane phases at +-omega are
     composed from it and one sideband factor e_h = expm1(i*h), conjugated for
     -omega, and the recycling phase is taken whole per sideband: six
-    ``np.sin`` per point.  A Python float or a one-element array omega may
-    differ in the last bit from the same point inside a longer sweep (most
-    points of a fig2c sweep do): a float takes Python's complex arithmetic,
-    and numpy multiplies a one-element complex array in place by another
-    path than its array loop.
+    ``np.sin`` per point.  A one-element array omega gives the bits of the
+    same point inside a longer sweep; a Python float takes Python's complex
+    arithmetic and may differ in the last bit.
     """
     scalar = isinstance(omega, float) or np.ndim(omega) == 0
     om = float(omega) if scalar else np.asarray(omega, dtype=float)

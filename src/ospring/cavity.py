@@ -249,24 +249,22 @@ def _blockwise(fn, length: int, row_cells: int = 1):
     a sweep's leading axis (:func:`_sweep_blockwise`), or a map's offset rows.
 
     fn is elementwise along that axis, so the values are those of one call.
-    Blocks of about ``_BLOCK`` cells (at least two rows) go into outputs
+    Blocks of about ``_BLOCK`` cells (at least one row) go into outputs
     allocated once; a block's temporaries are reused from the allocator's
     free lists, while whole-length ones are handed fresh pages: a 5.4e4-point
     kernel call faulted in about 3,600 pages when it ran whole, 435 in blocks.
-    A lone last row joins the block before it: numpy 2.4 multiplies a one-element
-    complex array in place by another path than its array loop, rounding otherwise.
     """
-    step = max(2, _BLOCK // row_cells)
+    step = max(1, _BLOCK // row_cells)
     if length <= step:
         return fn(slice(None))
     outs = None
-    for start in range(0, length - 1, step):
-        stop = start + step if start + step < length - 1 else length
-        parts = fn(slice(start, stop))
+    for start in range(0, length, step):
+        rows = slice(start, start + step)
+        parts = fn(rows)
         if outs is None:
             outs = tuple(np.empty((length,) + part.shape[1:], dtype=part.dtype) for part in parts)
         for out, part in zip(outs, parts):
-            out[start:stop] = part
+            out[rows] = part
     return outs
 
 

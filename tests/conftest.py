@@ -183,25 +183,24 @@ def matrix_noise_density(config, omega_scalar):
     return scale * abs(row[0]) ** 2, scale * abs(row[1]) ** 2
 
 
-def static_kernel_oracle(config, step=1e-12):
+def static_kernel_oracle(config, step=2e-13):
     """Finite-difference oracle for the zero-frequency kernel.
 
     Differentiates the mean radiation-force imbalance of the two membrane
-    faces with respect to the metric offset; the kernel equals twice that
-    gradient times input power over c (membrane position is half the arm
-    imbalance).
+    faces with respect to the metric offset, by the four-point Richardson
+    central difference; the kernel equals twice that gradient times input
+    power over c (membrane position is half the arm imbalance).
     """
 
-    def face_difference(cfg):
-        m_inc, m_ref = membrane_field_matrices(cfg, 0.0)
+    def face_difference(offset):
+        m_inc, m_ref = membrane_field_matrices(replace(config, offset=offset), 0.0)
         inc, ref = m_inc[:, 0], m_ref[:, 0]
         return (
             abs(inc[0]) ** 2 + abs(ref[0]) ** 2 - abs(inc[1]) ** 2 - abs(ref[1]) ** 2
         )
 
-    upper = face_difference(replace(config, offset=config.offset + step))
-    lower = face_difference(replace(config, offset=config.offset - step))
-    gradient = (upper - lower) / (2.0 * step)
+    f = [face_difference(config.offset + k * step) for k in (-2, -1, 1, 2)]
+    gradient = (8.0 * (f[2] - f[1]) - (f[3] - f[0])) / (12.0 * step)
     return 2.0 * config.input_power / C_LIGHT * gradient
 
 

@@ -371,15 +371,16 @@ def test_operating_point_grid_equals_its_rows_bit_for_bit(name):
     """An offset-rows x detunings grid runs in blocks of offset rows, each
     block resolving its own operating point: every row of the kernel and of
     the spectrum equals the call at that single offset, bit for bit, for row
-    counts that fill one block, run two rows past it, and leave a lone last
-    row, which joins the block before it.  The single offset is a one-row
-    grid: a Python-float offset takes scalar products, and a 1-D sweep other
-    numpy loops, either of which may round differently in the last bit (fig4b)."""
+    counts that fill one block, run two rows past it, and leave one row for
+    the last block, and for rows wider than a block, each its own block.
+    The single offset is a one-row grid: a Python-float offset takes scalar
+    products, and a 1-D sweep other numpy loops, either of which may round
+    differently in the last bit (fig4b)."""
     config, cavity = load_config(preset_path(name)).interferometer()
-    deltas = np.linspace(-3.0, 3.0, 400) * cavity.half_linewidth
     omega = 0.7 * cavity.half_linewidth
-    step = cav._BLOCK // deltas.size
-    for rows in (step, step + 2, 2 * step + 1):
+    step = cav._BLOCK // 400
+    for rows, width in ((step, 400), (step + 2, 400), (2 * step + 1, 400), (3, cav._BLOCK + 808)):
+        deltas = np.linspace(-3.0, 3.0, width) * cavity.half_linewidth
         offsets = np.linspace(0.0, 0.02, rows) * config.geometry.wavelength
         grid = cav.with_total_detuning(replace(config, offset=offsets[:, None]), deltas)
         kernel = ba.kernel_exact(grid, omega)
@@ -387,16 +388,15 @@ def test_operating_point_grid_equals_its_rows_bit_for_bit(name):
         assert kernel.shape == spectrum.total.shape == (rows, deltas.size)
         for i in range(rows):
             row = cav.with_total_detuning(replace(config, offset=offsets[i : i + 1, None]), deltas)
-            assert np.array_equal(kernel[i], ba.kernel_exact(row, omega)[0]), (rows, i)
+            assert np.array_equal(kernel[i], ba.kernel_exact(row, omega)[0]), (rows, width, i)
             single = noi.back_action_spectrum(row, omega)
-            assert np.array_equal(spectrum.laser_part[i], single.laser_part[0]), (rows, i)
-            assert np.array_equal(spectrum.detector_part[i], single.detector_part[0]), (rows, i)
+            assert np.array_equal(spectrum.laser_part[i], single.laser_part[0]), (rows, width, i)
+            assert np.array_equal(spectrum.detector_part[i], single.detector_part[0]), (rows, width, i)
 
 
-def test_lone_last_point_joins_the_block_before_it(monkeypatch):
+def test_sweep_of_two_blocks_and_one_point_equals_one_whole_call(monkeypatch):
     """A 1-D sweep one point longer than two blocks equals one whole-length
-    call bit for bit: its last point is evaluated with the block before it,
-    where a block of one point rounded fig4b's last kernel value otherwise."""
+    call bit for bit, its last block of one point included (fig4b)."""
     config, cavity = load_config(preset_path("fig4b")).interferometer()
     omega = np.linspace(0.1, 3.0, 2 * cav._BLOCK + 1) * cavity.half_linewidth
     blocked = ba.kernel_exact(config, omega)

@@ -362,6 +362,61 @@ def test_stacked_verdicts_match_construction(rows, lead):
     assert np.array_equal(st.roots_stable(coeffs), expected)
 
 
+def _closed_loop_identity_residual(cavity, oscillator, gain_inputs):
+    """Largest deviation, over 13 detunings in +-3 gamma x 40 omega in 0.05-5 gamma,
+    of P(-i*omega) = lorentz*D(-i*omega)*[m*(w_m^2 - omega^2 - 2i*g_m*omega) + K_nb(omega)]
+    with D(s) = s^2 + 2*gamma*s + lorentz, relative to the size of its right side's terms,
+    lorentz*|D|*(m*(w_m^2 + omega^2) + |K_nb|)."""
+    gamma = cavity.half_linewidth
+    deltas = np.linspace(-3.0, 3.0, 13)[:, None] * gamma
+    omega = np.linspace(0.05, 5.0, 40) * gamma
+    coeffs = st.characteristic_polynomial(cavity, oscillator, *gain_inputs, detuning=deltas)
+    s = -1j * omega
+    poly = 0.0
+    for k in range(coeffs.shape[-1]):
+        poly = poly * s + coeffs[..., k]
+    lorentz = gamma * gamma + deltas * deltas
+    d = s * s + 2.0 * gamma * s + lorentz
+    m, w_sq, g_m = oscillator.mass, oscillator.resonance_frequency**2, oscillator.damping_rate
+    kernel = ba.kernel_narrowband(cavity, *gain_inputs, omega, detuning=deltas)
+    expected = lorentz * d * (m * (w_sq - omega * omega - 2j * g_m * omega) + kernel)
+    scale = lorentz * np.abs(d) * (m * (w_sq + omega * omega) + np.abs(kernel))
+    return np.max(np.abs(poly - expected) / scale)
+
+
+@pytest.mark.parametrize("name", ["fig2c", "fig2d"])
+def test_characteristic_polynomial_is_the_closed_loop_of_its_kernel(name):
+    """Every coefficient of P, damping's s^1 included, is that of the oscillator
+    equation multiplied through by the kernel denominator: the residual reads
+    4.1e-16 on these presets, and a 1e-6 relative error in the s^1 coefficient
+    lifts it to 4.3e-7."""
+    run = load_config(preset_path(name))
+    config, cavity = run.interferometer()
+    residual = _closed_loop_identity_residual(cavity, run.oscillator(), ba._gain_inputs(config))
+    assert residual < 1e-14
+
+
+def test_characteristic_polynomial_closed_loop_on_random_cavities(geometry):
+    """The closed-loop identity on seeded random cavities and oscillators, the
+    kernel's peak from 1e-7 to 3e2 of the oscillator's own term."""
+    rng = np.random.default_rng(20121)
+    for _ in range(40):
+        gamma = rng.uniform(1e4, 1e7)
+        cavity = EffectiveCavity.from_rates(
+            gamma * rng.uniform(0.1, 1.0), gamma * rng.uniform(0.0, 1.0),
+            membrane_detuning=gamma * rng.uniform(-1.0, 1.0),
+        )
+        oscillator = MechanicalOscillator(
+            10.0 ** rng.uniform(-11.0, -7.0), gamma * rng.uniform(0.1, 3.0),
+            gamma * 10.0 ** rng.uniform(-7.0, -1.0),
+        )
+        gain_inputs = (
+            MirrorParams.from_power_reflectivity(rng.uniform(0.05, 1.0)), rng.uniform(0.01, 1.0),
+            geometry.carrier_omega, rng.uniform(0.01, 1.0),
+        )
+        assert _closed_loop_identity_residual(cavity, oscillator, gain_inputs) < 1e-14
+
+
 def test_canonical_detuned_free_mass_is_unstable(narrow_config):
     config = replace(narrow_config, offset=0.0)
     oscillator = MechanicalOscillator(1e-10, 0.0, 1e-6 * GAMMA)
@@ -615,10 +670,16 @@ def _codes(spring, damping):
 
 
 def test_classify_regimes_neutral_floor():
-    spring = np.array([1.0, -1.0, 1e-15, 1.0])
-    damping = np.array([1.0, 1.0, 1.0, -1e-15])
+    """A point is live from NEUTRAL_FLOOR = 1e-12 of its curve's peak on,
+    that fraction itself included, and neutral below it."""
+    spring = np.array([1.0, -1.0, 1e-15, 1.0, 1e-11, -1e-12, 1e-13, 1.0, 1.0, 1.0])
+    damping = np.array([1.0, 1.0, 1.0, -1e-15, 1.0, 1.0, 1.0, -1e-11, 1e-12, -1e-13])
     labels = st._LABELS[_codes(spring, damping)]
-    assert list(labels) == ["stable_spring", "cooling", "neutral", "neutral"]
+    assert list(labels) == [
+        "stable_spring", "cooling", "neutral", "neutral",
+        "stable_spring", "cooling", "neutral",
+        "unstable_spring", "stable_spring", "neutral",
+    ]
 
 
 def _reference_labels(spring, damping):
