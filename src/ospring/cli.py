@@ -16,9 +16,10 @@ equally long, or nothing is written (exit 2).  A column may be categorical,
 its distinct values formatted once: ``stability`` and ``map`` pass their
 regime labels so, as uint8 codes into ``stability.REGIME_LABELS``, and ``map``
 its ``delta`` and ``xi`` axes too, holding two floats and one byte per grid cell.
-``[output]`` shapes only these tables (``spectrum``, ``backaction``,
-``stability`` and ``map``; :func:`_emit_table`); ``darkport``, ``cavity`` and
-``validate`` write their lines to ``--out`` or stdout.
+``[output]`` and ``--format`` shape only these tables (``spectrum``,
+``backaction``, ``stability`` and ``map``; :func:`_emit_table`); ``darkport``,
+``cavity`` and ``validate`` take no ``--format`` and write their lines to
+``--out`` or stdout.
 
 ``main`` resolves the configuration's operating point and its effective
 cavity once (:meth:`ospring.runconfig.RunConfig.interferometer`) and hands
@@ -110,14 +111,6 @@ def _cells(arr: np.ndarray, as_json: bool) -> list[str]:
     return cells
 
 
-def _peak(column) -> float | None:
-    """The peak |value| of a float column, without an ``np.abs`` copy, as the
-    divisor that normalizes it; None where it is not positive (an all-zero
-    or a NaN column stays as it is)."""
-    peak = max(np.max(column), -np.min(column))
-    return peak if peak > 0.0 else None
-
-
 def _blocks(column, as_json: bool, peak=None):
     """The cell strings of a ``_column``, ``_BLOCK`` rows at a time, each
     block divided by ``peak`` when one is given."""
@@ -146,7 +139,9 @@ def _emit_table(
     if len(lengths) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
     divisor = dict(normalized) if run.output.normalize else {}
-    peak_of = {name: _peak(c) for name, c in zip(header, columns) if name in divisor.values()}
+    peak_of = {name: st._peak(c) for name, c in zip(header, columns) if name in divisor.values()}
+    # an all-zero or a NaN column is written as it is
+    peak_of = {name: peak if peak > 0.0 else None for name, peak in peak_of.items()}
     peaks = [peak_of[divisor[name]] if name in divisor else None for name in header]
     if fmt == "csv":
         with _open(path) as dest:
@@ -363,9 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run-configuration file")
-        out = "stdout" if name in ("darkport", "cavity", "validate") else "[output] path or stdout"
+        table = name not in ("darkport", "cavity", "validate")  # these print text lines
+        out = "[output] path or stdout" if table else "stdout"
         p.add_argument("--out", default=None, help=f"output path (default: {out})")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
+        if table:
+            p.add_argument("--format", default=None, choices=("csv", "json"))
         if name == "backaction":
             p.add_argument(
                 "--method", default="exact", choices=("exact", "narrowband", "freemass")

@@ -194,10 +194,15 @@ def roots_stable(coeffs):
     return np.all(roots.real < 0.0, axis=-1) & (c[..., -1] != 0.0)
 
 
+def _peak(x):
+    """The largest magnitude of a curve, max(max x, -min x), without an
+    ``np.abs`` temporary of the curve's size; NaN if the curve has a NaN."""
+    return np.maximum(np.max(x), -np.min(x))
+
+
 def _neutral_floors(spring, damping):
-    """``NEUTRAL_FLOOR`` times the largest magnitude of each curve (NaN if the
-    curve has a NaN), without a temporary of the curve's size."""
-    return [NEUTRAL_FLOOR * np.maximum(np.max(x), -np.min(x)) for x in (spring, damping)]
+    """``NEUTRAL_FLOOR`` times the peak of each curve (NaN if it has a NaN)."""
+    return [NEUTRAL_FLOOR * _peak(x) for x in (spring, damping)]
 
 
 def _regime_codes(spring, damping, spring_floor, damping_floor) -> np.ndarray:

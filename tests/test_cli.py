@@ -623,6 +623,45 @@ def test_validate_fail_line_at_the_narrowband_gate(tmp_path):
     assert re.match(pattern, lines[-1]), lines[-1]
 
 
+@pytest.mark.parametrize("offset, parts", [(0.045, 1), (0.0385, 2)])
+def test_validate_kernel_parts_at_the_narrowband_gate(tmp_path, offset, parts):
+    # fig2c (balanced beamsplitter, T_sr^2 = 3e-4) moved out to tau^2 = 0.0132,
+    # then to 0.0098: the narrow-band part runs only from tau^2 <= 0.01
+    text = Path(preset_path("fig2c")).read_text()
+    line = "offset_xi_lambda0 = 0.01\n"
+    assert line in text
+    cfg = write_cfg(tmp_path, text.replace(line, f"offset_xi_lambda0 = {offset}\n"))
+    config, cavity = load_config(cfg).interferometer()
+    tau_sq = 4.0 * cavity.membrane_half_linewidth * config.geometry.cavity_length / C_LIGHT
+    assert (0.01 < tau_sq < 0.02) if parts == 1 else (0.0095 < tau_sq < 0.01), tau_sq
+    code, lines = run_validate(tmp_path, cfg)
+    assert code == 0 and lines[-1].startswith("PASS: exact_vs_narrowband_kernel: "), lines
+    assert len(lines[-1].split("; ")) == parts, lines[-1]
+
+
+def test_validate_scans_the_noise_out_to_three_linewidths(tmp_path, monkeypatch):
+    # one negative density, its parts negated with it so the closure holds,
+    # planted only beyond 2 gamma: the positivity count must still see it
+    gamma = load_config(preset_path("fig2c")).interferometer()[1].half_linewidth
+    spectrum = noi.back_action_spectrum
+
+    def negative_far_out(config, omega):
+        result = spectrum(config, omega)
+        far = np.flatnonzero(np.abs(omega) > 2.0 * gamma)[:1]
+        flipped = {}
+        for name in ("total", "laser_part", "detector_part"):
+            flipped[name] = getattr(result, name).copy()
+            flipped[name][far] *= -1.0
+        return replace(result, **flipped)
+
+    monkeypatch.setattr(noi, "back_action_spectrum", negative_far_out)
+    code, lines = run_validate(tmp_path, "fig2c")
+    assert code == 2
+    pattern = r"^FAIL: noise_closure_and_positivity: [^ ]+ <= 1e-12; 1\.0 > 0\.0$"
+    assert re.match(pattern, lines[4]), lines[4]
+    assert all(PASS_LINE.match(line) for line in lines[:4] + lines[5:]), lines
+
+
 def test_validate_catches_a_wrong_narrowband_damping(tmp_path, monkeypatch):
     # the exact-vs-narrow-band check is normalised by the peak of a detuning
     # sweep; it must still see a narrow-band kernel whose damping has the wrong sign
@@ -1079,6 +1118,25 @@ EMITTING_COMMANDS = (
     ("backaction", "--method", "freemass"),
     ("stability",),
 )
+TEXT_COMMANDS = ("darkport", "cavity", "validate")
+
+
+def _argv(command, name, fmt):
+    """A subcommand's argv on a preset, with ``--format`` where it writes a table."""
+    argv = [*command, "--config", preset_path(name)]
+    return argv if command[0] in TEXT_COMMANDS else argv + ["--format", fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", TEXT_COMMANDS)
+def test_text_subcommands_take_no_format(tmp_path, capsys, command, fmt):
+    # only the table writers read --format; argparse refuses it elsewhere
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", preset_path("fig2c"), "--format", fmt, "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1086,7 +1144,7 @@ EMITTING_COMMANDS = (
 def test_emitter_bytes_on_presets(monkeypatch, tmp_path, name, fmt):
     accepted = set()
     for command in EMITTING_COMMANDS:
-        argv = [*command, "--config", preset_path(name), "--format", fmt]
+        argv = _argv(command, name, fmt)
         reference, columnwise = _reference_and_columnwise(monkeypatch, tmp_path, *argv)
         assert reference == columnwise, argv
         if reference[0] == 0:
@@ -1214,7 +1272,7 @@ def test_each_run_reduces_its_operating_point_once(monkeypatch, tmp_path, name, 
     for command in REDUCING_COMMANDS:
         counts.update(interferometer=0, cavity=0)
         reports = len(inside_report)
-        argv = [*command, "--config", preset_path(name), "--format", fmt]
+        argv = _argv(command, name, fmt)
         run_cli(*argv, "--out", str(tmp_path / "out"))
         assert counts["interferometer"] == 1, argv
         assert counts["cavity"] == 1 + sum(inside_report[reports:]), argv

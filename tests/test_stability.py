@@ -82,6 +82,13 @@ def test_zero_crossings_edge_cases():
         st.find_zero_crossings(lambda x: float("nan"), -1.0, 1.0, 64)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_refine_root_rejects_a_non_finite_value_inside_its_bracket(bad):
+    # finite, and of opposite signs, at the ends of the bracket only
+    with pytest.raises(ValueError, match="finite"):
+        st._refine_root(lambda x: bad, -1.0, 1.0, -1.3, 0.7, 1e-9)
+
+
 @pytest.mark.parametrize("xtol", [0.0, -1e-12, float("nan")])
 def test_zero_crossings_reject_non_positive_xtol(xtol):
     with pytest.raises(ValueError, match="xtol"):
