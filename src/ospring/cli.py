@@ -1,6 +1,8 @@
 """Command-line interface: parameter sweeps and CSV/JSON emission.
 
-Exit codes: 0 success, 1 I/O or parse errors, 2 validation failures.
+Exit codes: 0 success, 1 I/O or parse errors, 2 validation failures, such as a
+sweep whose kind :func:`_single_sweep` refuses (``backaction --method freemass``
+takes only detunings) or ``stability`` without ``mass_kg``.
 ``validate`` prints a line per check of ``checks.CHECKS``: its verdict, its name
 and its parts, each ``<residual> <= <bound>`` (``>`` where it fails), joined by ``; ``.
 Errors and the warnings a run raises go to stderr as ``ospring: <error>``
@@ -217,7 +219,7 @@ def cmd_darkport(run: RunConfig, config, cavity, args) -> int:
     lines = [
         f"dark_port_offset_m = {_fmt(offset_dp)}",
         f"offset_m = {_fmt(config.offset)}",
-        f"arm_imbalance_m = {_fmt(cav._phases(config).delta_l)}",
+        f"arm_imbalance_m = {_fmt(offset_dp + config.offset)}",
         f"tau_residual = {_fmt(checks.dark_port(config, cavity)[0][0])}",
     ]
     _write_lines(args.out, lines)
@@ -249,13 +251,12 @@ def cmd_spectrum(run: RunConfig, config, cavity, args) -> int:
 
 
 def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
-    sweep = _single_sweep(run, ("detuning", "omega"))
+    kinds = ("detuning",) if args.method == "freemass" else ("detuning", "omega")
+    sweep = _single_sweep(run, kinds)
     if args.method != "exact":
         st._require_linewidth(cavity)  # the narrow-band laws divide by gamma^2 + delta^2
     grid = run.sweep_grid(sweep, config, cavity)
     if SWEEP_VARIABLES[sweep.variable][0] == "omega":
-        if args.method == "freemass":
-            raise ValidationError("the freemass method needs a detuning sweep")
         if np.any(grid <= 0.0):
             raise ValidationError("frequency sweeps for backaction must stay positive")
         omega, deltas = grid, None
@@ -286,8 +287,9 @@ def cmd_backaction(run: RunConfig, config, cavity, args) -> int:
 
 
 def cmd_stability(run: RunConfig, config, cavity, args) -> int:
-    run.require("mass_kg")
     oscillator = run.oscillator()
+    if oscillator is None:
+        raise ValidationError("missing required key 'mass_kg' for this subcommand")
     deltas = run.sweep_grid(_single_sweep(run, ("detuning",)), config, cavity)
     report = st.stability_report(config, oscillator, deltas, oscillator.resonance_frequency)
 

@@ -8,9 +8,10 @@ against its table (``_SECTIONS``) in one fault order: the keys in file order,
 each unknown or with an invalid value, then a missing required key, then
 the checks across its values.  Values are stored in the units of the file,
 and :class:`RunConfig` takes every one to SI: :meth:`~RunConfig.interferometer`
-and :meth:`~RunConfig.oscillator` the physical keys,
-:meth:`~RunConfig.sweep_grid` a sweep by its unit in ``SWEEP_VARIABLES`` and
-:meth:`~RunConfig.analysis_frequency` ``mech_freq_hz``.
+and :meth:`~RunConfig.oscillator` the physical keys (None without ``mass_kg``,
+which ``stability`` needs), :meth:`~RunConfig.analysis_frequency` ``mech_freq_hz``
+and :meth:`~RunConfig.sweep_grid` a sweep by its unit in ``SWEEP_VARIABLES``, whose
+kind decides the subcommands that take it (a freemass ``backaction``: detunings).
 """
 
 from __future__ import annotations
@@ -207,11 +208,6 @@ class RunConfig:
             resonance_frequency=self.analysis_frequency(),
             damping_rate=2.0 * math.pi * self.physical.get("mech_damping_hz", 0.0),
         )
-
-    def require(self, *keys: str) -> None:
-        for key in keys:
-            if key not in self.physical:
-                raise ValidationError(f"missing required key '{key}' for this subcommand")
 
 
 def _section(parser: configparser.RawConfigParser, name: str) -> dict:

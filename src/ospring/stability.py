@@ -231,7 +231,6 @@ def _spring_damping_sweep(
     ``omega_eval`` of None or 0 selects the quasi-static limit.
     """
     args = ba._gain_inputs(config)
-    deltas = np.asarray(deltas, dtype=float)
     if not omega_eval:
         return ba.spring_damping_dc(cavity, *args, detuning=deltas)
     kernel = ba.kernel_narrowband(cavity, *args, omega_eval, detuning=deltas)

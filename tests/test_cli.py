@@ -49,19 +49,6 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-def test_missing_config_file_is_io_error(tmp_path, capsys):
-    assert run_cli("cavity", "--config", str(tmp_path / "absent.cfg")) == 1
-    assert "parse error" in capsys.readouterr().err
-
-
-def test_duplicate_key_exit_code(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        Path(preset_path("fig2c")).read_text() + "\n[physical]\n",
-    )
-    assert run_cli("cavity", "--config", cfg) == 1
-
-
 @pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
 @pytest.mark.parametrize(
     "line",
@@ -164,23 +151,6 @@ def test_malformed_config_exit_codes(tmp_path, case):
     assert run_cli("cavity", "--config", str(cfg)) == expected, text
 
 
-def test_frequency_sweep_must_stay_positive(tmp_path, capsys):
-    text = Path(preset_path("fig2c")).read_text().replace(
-        "variable = detuning_over_gamma\nstart = -3", "variable = omega_rad_s\nstart = 0"
-    )
-    cfg = write_cfg(tmp_path, text)
-    assert run_cli("backaction", "--config", cfg, "--method", "exact") == 2
-    assert "frequency sweeps for backaction must stay positive" in capsys.readouterr().err
-
-
-def test_stability_requires_mass(tmp_path, capsys):
-    text = Path(preset_path("fig3d")).read_text()
-    cfg = write_cfg(tmp_path, text)
-    rc = run_cli("stability", "--config", cfg)
-    assert rc == 2
-    assert "mass_kg" in capsys.readouterr().err
-
-
 def test_darkport_and_cavity_output(tmp_path):
     out = tmp_path / "dp.txt"
     assert run_cli("darkport", "--config", preset_path("fig2c"), "--out", str(out)) == 0
@@ -259,26 +229,6 @@ def test_freemass_spring_sign_changes_at_linewidth(tmp_path):
     assert signs[node - 1] * signs[node + 1] < 0
 
 
-def test_freemass_rejects_frequency_sweep(tmp_path, capsys):
-    text = Path(preset_path("fig3d")).read_text().replace(
-        "variable = detuning_over_gamma", "variable = omega_over_gamma"
-    ).replace("start = -3", "start = 0.1")
-    cfg = write_cfg(tmp_path, text)
-    assert run_cli("backaction", "--config", cfg, "--method", "freemass") == 2
-
-
-@pytest.mark.parametrize("method", ["exact", "narrowband"])
-@pytest.mark.parametrize("frequency", ["missing", "0", "-5"])
-def test_detuning_sweep_needs_analysis_frequency(tmp_path, capsys, frequency, method):
-    text = Path(preset_path("fig3d")).read_text()
-    if frequency != "missing":
-        text = text.replace("[physical]\n", f"[physical]\nmech_freq_hz = {frequency}\n")
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "out.csv"
-    assert run_cli("backaction", "--config", cfg, "--method", method, "--out", str(out)) == 2
-    assert "mech_freq_hz" in capsys.readouterr().err
-
-
 def _fig2c_sweeping(variable, start, stop, points=41, extra=""):
     """fig2c, unnormalized, with its [sweep] on ``variable``, then ``extra``."""
     text = Path(preset_path("fig2c")).read_text().replace("normalize = true", "normalize = false")
@@ -298,6 +248,7 @@ SWEEP_RANGES = {  # a (start, stop) that each subcommand taking the variable acc
     "detuning_rad_s": (-2.5e6, 2.5e6),
     "omega_rad_s": (1e5, 3e6),
     "omega_over_gamma": (0.1, 3),
+    "offset_xi_lambda0": (0.002, 0.014),
 }
 MAP_OFFSETS = "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0.002\nstop = 0.014\npoints = 7\n"
 
@@ -353,23 +304,30 @@ def test_sweep_axes_are_the_file_grid_in_si(tmp_path, command, variable):
         assert _column_values(columns, header, "k_im").tobytes() == kernel.imag.tobytes()
 
 
+KIND_MISMATCHES = [  # (argv, sweep variable, the variables that argv accepts)
+    (("spectrum",), "offset_xi_lambda0", "omega_rad_s, omega_over_gamma"),
+    (("backaction",), "offset_xi_lambda0",
+     "detuning_over_gamma, detuning_rad_s, omega_rad_s, omega_over_gamma"),
+    (("stability",), "offset_xi_lambda0", "detuning_over_gamma, detuning_rad_s"),
+    (("backaction", "--method", "freemass"), "omega_over_gamma",
+     "detuning_over_gamma, detuning_rad_s"),
+]
+
+
 @pytest.mark.parametrize(
-    "command, accepted",
-    [
-        ("spectrum", "omega_rad_s, omega_over_gamma"),
-        ("backaction", "detuning_over_gamma, detuning_rad_s, omega_rad_s, omega_over_gamma"),
-        ("stability", "detuning_over_gamma, detuning_rad_s"),
-    ],
+    "argv, variable, accepted",
+    KIND_MISMATCHES,
+    ids=[f"{argv[-1]}-{accepted}" for argv, _, accepted in KIND_MISMATCHES],
 )
 def test_sweep_of_another_kind_is_refused_with_the_accepted_list(
-    tmp_path, capsys, command, accepted
+    tmp_path, capsys, argv, variable, accepted
 ):
-    cfg = write_cfg(tmp_path, _fig2c_sweeping("offset_xi_lambda0", 0.002, 0.014))
-    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "out.csv")) == 2
-    assert capsys.readouterr().err == (
-        "ospring: sweep variable 'offset_xi_lambda0' is not supported here "
+    cfg = write_cfg(tmp_path, _fig2c_sweeping(variable, *SWEEP_RANGES[variable]))
+    assert run_cli(*argv, "--config", cfg, "--out", str(tmp_path / "out.csv")) == 2
+    assert capsys.readouterr() == ("", (
+        f"ospring: sweep variable '{variable}' is not supported here "
         f"(expected one of {accepted})\n"
-    )
+    ))
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -479,14 +437,6 @@ def test_stability_subcommand_columns(tmp_path):
         label for label, verdict in zip(columns[3], columns[4]) if verdict == "true"
     ]
     assert stable_labels and set(stable_labels) == {"stable_spring"}
-
-
-def test_spectrum_requires_a_sweep(tmp_path, capsys):
-    text = Path(preset_path("fig4a")).read_text()
-    text = text[: text.index("[sweep]")]
-    cfg = write_cfg(tmp_path, text)
-    assert run_cli("spectrum", "--config", cfg) == 2
-    assert "sweep" in capsys.readouterr().err
 
 
 def test_stability_json_booleans(tmp_path):
@@ -802,58 +752,6 @@ def test_runtime_needs_no_scipy(tmp_path, name):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
-
-
-def test_oversized_sweep_is_validation_exit(tmp_path, capsys):
-    # 1e15 float64 points is 7.1 PiB, beyond the x86-64 user address space:
-    # the allocation fails at once and never touches memory
-    text = Path(preset_path("fig2c")).read_text()
-    cfg = write_cfg(tmp_path, text.replace("points = 241", "points = 1000000000000000"))
-    out = tmp_path / "out.csv"
-    assert run_cli("backaction", "--config", cfg, "--method", "narrowband", "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith("ospring: sweep grid too large: ")
-    assert not out.exists()
-
-
-def _zero_linewidth_cfg(tmp_path, extra=""):
-    # a lossless recycling mirror with the membrane on its node: gamma = 0
-    text = Path(preset_path("fig2c")).read_text()
-    text = text.replace("sr_power_transmissivity = 3e-4", "sr_power_transmissivity = 0")
-    return write_cfg(tmp_path, text.replace("offset_xi_lambda0 = 0.01", "offset_xi_lambda0 = 0") + extra)
-
-
-def test_zero_linewidth_stability_is_validation_exit(tmp_path, capsys):
-    out = tmp_path / "out.csv"
-    assert run_cli("stability", "--config", _zero_linewidth_cfg(tmp_path), "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        "ospring: the narrow-band laws need a positive half-linewidth\n"
-    )
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("method", ["narrowband", "freemass"])
-def test_zero_linewidth_backaction_is_validation_exit(tmp_path, capsys, method, fmt):
-    # both laws divide by gamma^2 + delta^2: refused before any output is opened
-    out = tmp_path / "out"
-    argv = ["--config", _zero_linewidth_cfg(tmp_path), "--format", fmt, "--out", str(out)]
-    assert run_cli("backaction", "--method", method, *argv) == 2
-    assert capsys.readouterr() == (
-        "", "ospring: the narrow-band laws need a positive half-linewidth\n"
-    )
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_zero_linewidth_map_is_validation_exit(tmp_path, capsys, fmt):
-    sweep2 = "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0\nstop = 0\npoints = 3\n"
-    cfg = _zero_linewidth_cfg(tmp_path, sweep2)
-    out = tmp_path / "out"
-    assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(out)) == 2
-    assert capsys.readouterr() == (
-        "", "ospring: the narrow-band laws need a positive half-linewidth\n"
-    )
-    assert not out.exists()
 
 
 # The row-wise, one-shot emitter that the streamed one replaced, kept
@@ -1219,18 +1117,6 @@ def test_mechanical_keys_are_validated_in_every_format(tmp_path, capsys, key, va
     assert not out.exists()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_map_rejects_negative_mechanical_frequency(tmp_path, capsys, fmt):
-    text = Path(preset_path("fig3d")).read_text().replace("points = 241", "points = 21")
-    assert "mass_kg" not in text
-    text = text.replace("[physical]\n", "[physical]\nmech_freq_hz = -133000\n")
-    text += "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0.0003\nstop = 0.003\npoints = 3\n"
-    cfg = write_cfg(tmp_path, text)
-    assert run_cli("map", "--config", cfg, "--format", fmt, "--out", str(tmp_path / "map")) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("ospring:") and "'mech_freq_hz'" in err
-
-
 REDUCING_COMMANDS = EMITTING_COMMANDS + (("validate",),)
 
 
@@ -1342,61 +1228,149 @@ def test_warning_line_follows_an_error(tmp_path):
     proc = run_cli_process(*argv, "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr == (
-        "ospring: the freemass method needs a detuning sweep\n"
+        "ospring: sweep variable 'omega_over_gamma' is not supported here "
+        "(expected one of detuning_over_gamma, detuning_rad_s)\n"
         f"ospring: warning: {NARROWBAND_WARNING}\n"
     )
 
 
+def _set(key, value):
+    """An edit of a preset's text that sets its one ``key = ...`` line to ``value``."""
+
+    def edit(text):
+        text, edits = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert edits == 1
+        return text
+
+    return edit
+
+
+def _add(line):
+    """An edit that adds ``line`` at the head of ``[physical]``."""
+    return lambda text: text.replace("[physical]\n", f"[physical]\n{line}\n", 1)
+
+
+def _append(extra):
+    return lambda text: text + extra
+
+
+def _refusal(name, argv, preset, edits, code, line, out="out"):
+    """A table row: ``argv`` on ``preset`` (None: no file) after ``edits``
+    exits ``code`` with the one stderr ``line``, ``{cfg}`` and ``{out}`` its paths."""
+    return pytest.param(argv.split(), preset, edits, out, code, line, id=name)
+
+
+# a lossless recycling mirror with the membrane on its node: gamma = 0
+ZERO_LINEWIDTH = (_set("sr_power_transmissivity", "0"), _set("offset_xi_lambda0", "0"))
+ZERO_OFFSETS = "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0\nstop = 0\npoints = 3\n"
 SWEEP2_DETUNING = "\n[sweep2]\nvariable = detuning_rad_s\nstart = -1e6\nstop = 1e6\npoints = 3\n"
-IO_ERROR = "ospring: i/o error: [Errno 2] No such file or directory: "
-
-
-@pytest.mark.parametrize(
-    "command, preset, edit, out, code, line",
-    [
-        ("map", "fig3d", str, "out", 2,
-         "ospring: the map subcommand needs [sweep] and [sweep2] sections"),
-        ("map", "fig3d", lambda text: text + SWEEP2_DETUNING, "out", 2,
-         "ospring: map sweeps must cover a detuning key and offset_xi_lambda0"),
-        ("cavity", "fig2c", lambda text: text[text.index("[sweep]") :], "out", 2,
-         "ospring: missing required section [physical]"),
-        ("spectrum", "fig4a", str, "absent/out", 1, IO_ERROR),
-        ("darkport", "fig2c", str, "absent/out", 1, IO_ERROR),
-    ],
-    ids=["map_one_sweep", "map_two_detunings", "no_physical", "spectrum_out", "darkport_out"],
+NO_LINEWIDTH = "ospring: the narrow-band laws need a positive half-linewidth"
+NO_FREQUENCY = (
+    "ospring: detuning sweeps need 'mech_freq_hz' (the analysis frequency) and it must be positive"
 )
-def test_rare_exits_state_one_line(tmp_path, command, preset, edit, out, code, line):
-    cfg = write_cfg(tmp_path, edit(Path(preset_path(preset)).read_text()))
-    proc = run_cli_process(command, "--config", cfg, "--out", str(tmp_path / out))
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1, proc.stderr
-    assert not (tmp_path / out).exists()
-
-
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("membrane_power_reflectivity", "1.5", "power reflectivity must lie in [0, 1]"),
-        ("sr_power_transmissivity", "-0.1", "power transmissivity must lie in [0, 1]"),
-        ("half_arm_m", "0", "half_arm must be positive"),
-        ("wavelength_nm", "0", "wavelength must be positive"),
-        ("input_power_mw", "-1", "input power must be non-negative"),
-        ("dark_port_index", "2", "dark port index must be a positive odd integer"),
-        ("bs_asymmetry", "1.0", "beamsplitter asymmetry must lie strictly in (-1, 1)"),
-        ("membrane_power_reflectivity", "0.0", "a fully transmissive membrane has no dark output"),
-        ("bs_asymmetry", "0.9",
-         "no dark output: required cosine -4.56226 falls outside [-1, 1]"),
-    ],
-    ids=["reflectivity", "transmissivity", "half_arm", "wavelength", "input_power",
-         "dark_port_index", "bs_asymmetry", "transparent_membrane", "no_dark_output"],
+NEGATIVE_FREQUENCY = (
+    "ospring: invalid value for key 'mech_freq_hz' in [physical]: '{value}' is negative"
 )
-def test_operating_point_faults_state_one_line(tmp_path, capsys, key, value, message):
+IO_ERROR = "ospring: i/o error: [Errno 2] No such file or directory: {out!r}"
+GRID_TOO_LARGE = "ospring: sweep grid too large: "  # numpy's allocation message follows
+
+REFUSALS = [
     # ranges are checked when the operating point is resolved, after the file loads
-    text, edits = re.subn(
-        rf"^{key} = .*$", f"{key} = {value}", Path(preset_path("fig2c")).read_text(), flags=re.M
-    )
-    assert edits == 1
-    out = tmp_path / "out.csv"
-    assert run_cli("backaction", "--config", write_cfg(tmp_path, text), "--out", str(out)) == 2
-    assert capsys.readouterr().err == f"ospring: {message}\n"
+    *(
+        _refusal(name, "backaction", "fig2c", (_set(key, value),), 2, f"ospring: {message}")
+        for name, key, value, message in [
+            ("reflectivity", "membrane_power_reflectivity", "1.5",
+             "power reflectivity must lie in [0, 1]"),
+            ("transmissivity", "sr_power_transmissivity", "-0.1",
+             "power transmissivity must lie in [0, 1]"),
+            ("half_arm", "half_arm_m", "0", "half_arm must be positive"),
+            ("wavelength", "wavelength_nm", "0", "wavelength must be positive"),
+            ("input_power", "input_power_mw", "-1", "input power must be non-negative"),
+            ("dark_port_index", "dark_port_index", "2",
+             "dark port index must be a positive odd integer"),
+            ("bs_asymmetry", "bs_asymmetry", "1.0",
+             "beamsplitter asymmetry must lie strictly in (-1, 1)"),
+            ("transparent_membrane", "membrane_power_reflectivity", "0.0",
+             "a fully transmissive membrane has no dark output"),
+            ("no_dark_output", "bs_asymmetry", "0.9",
+             "no dark output: required cosine -4.56226 falls outside [-1, 1]"),
+        ]
+    ),
+    _refusal("missing_config_file", "cavity", None, (), 1,
+             "ospring: parse error: cannot read {cfg}: No such file or directory"),
+    _refusal("duplicate_key", "cavity", "fig2c", (_add("wavelength_nm = 1064"),), 1,
+             "ospring: parse error: line 5: duplicate key 'wavelength_nm' in [physical]"),
+    _refusal("duplicate_section", "cavity", "fig2c", (_append("\n[physical]\n"),), 1,
+             "ospring: parse error: line 31: duplicate section [physical]"),
+    _refusal("no_physical", "cavity", "fig2c", (lambda text: text[text.index("[sweep]") :],), 2,
+             "ospring: missing required section [physical]"),
+    _refusal("spectrum_requires_a_sweep", "spectrum", "fig4a",
+             (lambda text: text[: text.index("[sweep]")],), 2,
+             "ospring: this subcommand needs exactly one [sweep] section"),
+    _refusal("map_one_sweep", "map", "fig3d", (), 2,
+             "ospring: the map subcommand needs [sweep] and [sweep2] sections"),
+    _refusal("map_two_detunings", "map", "fig3d", (_append(SWEEP2_DETUNING),), 2,
+             "ospring: map sweeps must cover a detuning key and offset_xi_lambda0"),
+    _refusal("stability_requires_mass", "stability", "fig3d", (), 2,
+             "ospring: missing required key 'mass_kg' for this subcommand"),
+    _refusal("frequency_sweep_must_stay_positive", "backaction --method exact", "fig2c",
+             (_set("variable", "omega_rad_s"), _set("start", "0")), 2,
+             "ospring: frequency sweeps for backaction must stay positive"),
+    *(
+        _refusal(f"analysis_frequency_{name}-{method}", f"backaction --method {method}", "fig3d",
+                 edits, 2, line)
+        for method in ("exact", "narrowband")
+        for name, edits, line in [
+            ("missing", (), NO_FREQUENCY),
+            ("0", (_add("mech_freq_hz = 0"),), NO_FREQUENCY),
+            ("-5", (_add("mech_freq_hz = -5"),), NEGATIVE_FREQUENCY.format(value="-5")),
+        ]
+    ),
+    *(
+        _refusal(f"map_negative_frequency-{fmt}", f"map --format {fmt}", "fig3d",
+                 (_add("mech_freq_hz = -133000"), _append(MAP_OFFSETS)), 2,
+                 NEGATIVE_FREQUENCY.format(value="-133000"))
+        for fmt in ("csv", "json")
+    ),
+    # 1e15 float64 points is 7.1 PiB, beyond the x86-64 user address space:
+    # the allocation fails at once and never touches memory
+    _refusal("oversized_sweep", "backaction --method narrowband", "fig2c",
+             (_set("points", "1000000000000000"),), 2, GRID_TOO_LARGE),
+    # the narrow-band laws divide by gamma^2 + delta^2: refused before any output is opened
+    _refusal("zero_linewidth_stability", "stability", "fig2c", ZERO_LINEWIDTH, 2, NO_LINEWIDTH),
+    *(
+        _refusal(f"zero_linewidth_{method}-{fmt}", f"backaction --method {method} --format {fmt}",
+                 "fig2c", ZERO_LINEWIDTH, 2, NO_LINEWIDTH)
+        for method in ("narrowband", "freemass")
+        for fmt in ("csv", "json")
+    ),
+    *(
+        _refusal(f"zero_linewidth_map-{fmt}", f"map --format {fmt}", "fig2c",
+                 (*ZERO_LINEWIDTH, _append(ZERO_OFFSETS)), 2, NO_LINEWIDTH)
+        for fmt in ("csv", "json")
+    ),
+    _refusal("spectrum_out", "spectrum", "fig4a", (), 1, IO_ERROR, out="absent/out"),
+    _refusal("darkport_out", "darkport", "fig2c", (), 1, IO_ERROR, out="absent/out"),
+]
+
+
+@pytest.mark.parametrize("argv, preset, edits, out, code, line", REFUSALS)
+def test_operating_point_faults_state_one_line(
+    tmp_path, capsys, argv, preset, edits, out, code, line
+):
+    """Each refusal of a run exits with its code, states its one stderr line,
+    prints nothing and opens no output."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / out
+    if preset is not None:
+        text = Path(preset_path(preset)).read_text()
+        for edit in edits:
+            text = edit(text)
+        cfg.write_text(text, encoding="utf-8")
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == code
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    if line == GRID_TOO_LARGE:
+        assert stderr.startswith(line) and stderr.count("\n") == 1, stderr
+    else:
+        assert stderr == line.format(cfg=str(cfg), out=str(out)) + "\n"
     assert not out.exists()

@@ -240,8 +240,3 @@ def test_interferometer_cavity_is_the_reduction_of_its_config(name):
     reduced = cav.effective_cavity(config)
     assert np.array(astuple(cavity)).tobytes() == np.array(astuple(reduced)).tobytes()
 
-
-def test_require_helper(tmp_path):
-    run = rc.load_config(write(tmp_path, MINIMAL))
-    with pytest.raises(rc.ValidationError, match="mass_kg"):
-        run.require("mass_kg")

@@ -276,6 +276,21 @@ def test_stability_report_rejects_zero_linewidth(narrow_config):
         st.stability_report(config, oscillator, np.linspace(-1e6, 1e6, 241))
 
 
+@pytest.mark.parametrize("finite_omega", [False, True], ids=["quasi_static", "omega_m"])
+def test_stability_report_at_zero_power_opens_no_window(finite_omega):
+    # without light both curves vanish and every sign between the numerator
+    # roots is 0: a run of zero signs is neither a zero crossing nor a window
+    run = load_config(preset_path("fig2d"))
+    config, cavity = run.interferometer()
+    deltas = run.sweep_grid(run.sweeps[0], config, cavity)
+    oscillator = run.oscillator()
+    omega = oscillator.resonance_frequency if finite_omega else None
+    report = st.stability_report(replace(config, input_power=0.0), oscillator, deltas, omega)
+    assert report.spring_zeros.size == report.damping_zeros.size == 0
+    assert report.stable_windows == []
+    assert set(report.labels) == {"neutral"}
+
+
 def test_stability_report_reversed_sweep_same_zeros_and_windows():
     run = load_config(preset_path("fig2c"))
     config, cavity = run.interferometer()
