@@ -18,10 +18,10 @@ equally long, or nothing is written (exit 2).  A column may be categorical,
 its distinct values formatted once: ``stability`` and ``map`` pass their
 regime labels so, as uint8 codes into ``stability.REGIME_LABELS``, and ``map``
 its ``delta`` and ``xi`` axes too, holding two floats and one byte per grid cell.
-``[output]`` and ``--format`` shape only these tables (``spectrum``,
-``backaction``, ``stability`` and ``map``; :func:`_emit_table`); ``darkport``,
-``cavity`` and ``validate`` take no ``--format`` and write their lines to
-``--out`` or stdout.
+Every subcommand writes to ``--out``, or to stdout without it; the tables
+(``spectrum``, ``backaction``, ``stability`` and ``map``; :func:`_emit_table`)
+take ``--format`` too, ``csv`` by default.  The configuration file names no
+destination or format: its ``[output]`` holds only ``normalize``.
 
 ``main`` resolves the configuration's operating point and its effective
 cavity once (:meth:`ospring.runconfig.RunConfig.interferometer`) and hands
@@ -128,32 +128,31 @@ def _blocks(column, as_json: bool, peak=None):
 
 
 def _emit_table(
-    header, columns, run: RunConfig, config, cavity, out: str | None, fmt: str | None, normalized=()
+    header, columns, run: RunConfig, config, cavity, out: str | None, fmt: str, normalized=()
 ) -> None:
-    """Write a table of equally long columns: arrays, sequences or
-    ``_Categorical`` columns.  Under ``[output] normalize`` each block of a
-    float column that ``normalized`` maps to a column name (itself, or the
+    """Write a table of equally long columns (arrays, sequences or
+    ``_Categorical`` columns) to ``out``, or stdout when it is None, in
+    ``fmt``, csv or json.  Under ``run.normalize`` each block of a float
+    column that ``normalized`` maps to a column name (itself, or the
     spectrum's ``s_f`` for its parts) is divided by that column's peak |value|."""
-    fmt = fmt or run.output.fmt
-    path = out if out is not None else run.output.path
     columns = [_column(column) for column in columns]
     lengths = sorted({len(column) for column in columns})
     if len(lengths) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
-    divisor = dict(normalized) if run.output.normalize else {}
+    divisor = dict(normalized) if run.normalize else {}
     peak_of = {name: st._peak(c) for name, c in zip(header, columns) if name in divisor.values()}
     # an all-zero or a NaN column is written as it is
     peak_of = {name: peak if peak > 0.0 else None for name, peak in peak_of.items()}
     peaks = [peak_of[divisor[name]] if name in divisor else None for name in header]
     if fmt == "csv":
-        with _open(path) as dest:
+        with _open(out) as dest:
             _write_text(dest, ",".join(header) + "\n")
             for block in zip(*(_blocks(c, False, peak) for c, peak in zip(columns, peaks))):
                 _write_text(dest, "\n".join(map(",".join, zip(*block))) + "\n")
         return
     # the layout json.dumps(payload, indent=2) writes, one array element per line
     prefix = json.dumps({"meta": _meta(run, config, cavity)}, indent=2)[: -len("\n}")]
-    with _open(path) as dest:
+    with _open(out) as dest:
         _write_text(dest, prefix)
         for name, column, peak in zip(header, columns, peaks):
             _write_text(dest, f",\n  {encode_basestring_ascii(name)}: [")
@@ -360,11 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="run-configuration file")
-        table = name not in ("darkport", "cavity", "validate")  # these print text lines
-        out = "[output] path or stdout" if table else "stdout"
-        p.add_argument("--out", default=None, help=f"output path (default: {out})")
-        if table:
-            p.add_argument("--format", default=None, choices=("csv", "json"))
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        if name not in ("darkport", "cavity", "validate"):  # these print text lines
+            p.add_argument("--format", default="csv", choices=("csv", "json"))
         if name == "backaction":
             p.add_argument(
                 "--method", default="exact", choices=("exact", "narrowband", "freemass")

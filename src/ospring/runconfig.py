@@ -2,12 +2,13 @@
 
 The format is line oriented ``key = value`` under ``[section]`` headers:
 ``[physical]`` (required), ``[sweep]`` and ``[sweep2]`` (optional grids) and
-``[output]`` (optional emission settings).  Unknown sections are errors and
-duplicate keys are parse errors with a line number.  Each section is read
-against its table (``_SECTIONS``) in one fault order: the keys in file order,
-each unknown or with an invalid value, then a missing required key, then
-the checks across its values.  Values are stored in the units of the file,
-and :class:`RunConfig` takes every one to SI: :meth:`~RunConfig.interferometer`
+``[output]`` (optional; its one key is ``normalize``: the destination and the
+format of a run's output are set on the command line only).  Unknown sections
+are errors and duplicate keys are parse errors with a line number.  Each
+section is read against its table (``_SECTIONS``) in one fault order: the keys
+in file order, each unknown or with an invalid value, then a missing required
+key, then the checks across its values.  Values are stored in the units of the
+file, and :class:`RunConfig` takes every one to SI: :meth:`~RunConfig.interferometer`
 and :meth:`~RunConfig.oscillator` the physical keys (None without ``mass_kg``,
 which ``stability`` needs), :meth:`~RunConfig.analysis_frequency` ``mech_freq_hz``
 and :meth:`~RunConfig.sweep_grid` a sweep by its unit in ``SWEEP_VARIABLES``, whose
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +131,7 @@ _SECTIONS = {
     "physical": (PHYSICAL_KEYS, REQUIRED_PHYSICAL),
     "sweep": _SWEEP,
     "sweep2": _SWEEP,
-    "output": ({"path": str, "format": str, "normalize": _parse_bool}, ()),
+    "output": ({"normalize": _parse_bool}, ()),
 }
 
 
@@ -149,17 +150,10 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    path: str | None = None
-    fmt: str = "csv"
-    normalize: bool = False
-
-
-@dataclass(frozen=True)
 class RunConfig:
     physical: dict
     sweeps: tuple[SweepSpec, ...] = ()
-    output: OutputSpec = field(default_factory=OutputSpec)
+    normalize: bool = False
 
     def interferometer(self) -> tuple[InterferometerConfig, cav.EffectiveCavity]:
         """Resolved interferometer operating point (detuning in rad/s) and its
@@ -236,7 +230,7 @@ def _sweep_from_section(name: str, values: dict) -> SweepSpec:
         raise ValidationError(f"key 'points' in [{name}] must be at least 2")
     if spec.scale not in ("lin", "log"):
         raise ValidationError(f"key 'scale' in [{name}] must be lin or log")
-    if spec.scale == "log" and (spec.start * spec.stop <= 0.0):
+    if spec.scale == "log" and (np.sign(spec.start) * np.sign(spec.stop) <= 0.0):
         raise ValidationError(f"log sweep in [{name}] needs nonzero same-sign endpoints")
     return spec
 
@@ -287,12 +281,5 @@ def load_config(path) -> RunConfig:
     if "sweep2" in sections and "sweep" not in sections:
         raise ValidationError("[sweep2] requires a [sweep] section")
 
-    output = OutputSpec()
-    if "output" in sections:
-        values = _section(parser, "output")
-        fmt = values.pop("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ValidationError("key 'format' in [output] must be csv or json")
-        output = OutputSpec(path=values.pop("path", "") or None, fmt=fmt, **values)
-
-    return RunConfig(physical=physical, sweeps=sweeps, output=output)
+    output = _section(parser, "output") if "output" in sections else {}
+    return RunConfig(physical=physical, sweeps=sweeps, **output)

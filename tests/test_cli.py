@@ -174,15 +174,23 @@ def test_darkport_and_cavity_output(tmp_path):
     assert values["half_linewidth_rad_s"] == pytest.approx(2 * math.pi * 133e3, rel=0.02)
 
 
-@pytest.mark.parametrize("command", ["darkport", "cavity", "validate"])
-def test_text_subcommands_ignore_output_path(monkeypatch, tmp_path, capsys, command):
-    # [output] shapes only the tables; fig2d sets path = fig2d.csv
-    assert "path = fig2d.csv" in Path(preset_path("fig2d")).read_text()
-    monkeypatch.chdir(tmp_path)
-    assert run_cli(command, "--config", preset_path("fig2d"), "--out", "given.txt") == 0
-    assert run_cli(command, "--config", preset_path("fig2d")) == 0
-    assert capsys.readouterr().out == (tmp_path / "given.txt").read_text()
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["given.txt"]
+@pytest.mark.parametrize("command", list(cli.HANDLERS))
+def test_every_subcommand_writes_to_out_or_stdout(monkeypatch, tmp_path, capsys, command):
+    # fig2d, with a frequency sweep for spectrum and an offset axis for map
+    text = Path(preset_path("fig2d")).read_text()
+    if command == "spectrum":
+        text = text.replace("variable = detuning_over_gamma\nstart = -3",
+                            "variable = omega_over_gamma\nstart = 0.1")
+    cfg = write_cfg(tmp_path, text + (MAP_OFFSETS if command == "map" else ""))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run_cli(command, "--config", cfg) == 0
+    stdout = capsys.readouterr().out
+    assert stdout and not any(work.iterdir())
+    assert run_cli(command, "--config", cfg, "--out", "given") == 0
+    assert capsys.readouterr().out == ""
+    assert (work / "given").read_bytes() == stdout.encode("utf-8")
 
 
 def test_spectrum_zero_power_all_zero(tmp_path, capsys):
@@ -775,13 +783,11 @@ def _reference_fmt(value) -> str:
 
 
 def _reference_emit_table(header, columns, run, config, cavity, out, fmt, normalized=()):
-    fmt = fmt or run.output.fmt
-    path = out if out is not None else run.output.path
     columns = [  # each categorical column spelled out in full
         np.asarray(c.categories)[np.ravel(c.codes)] if isinstance(c, cli._Categorical) else c
         for c in columns
     ]
-    if run.output.normalize:  # each named column by the peak |value| of its divisor, whole
+    if run.normalize:  # each named column by the peak |value| of its divisor, whole
         given, divisor = dict(zip(header, columns)), dict(normalized)
         columns = list(columns)
         for i, name in enumerate(header):
@@ -793,7 +799,7 @@ def _reference_emit_table(header, columns, run, config, cavity, out, fmt, normal
         lines = [",".join(header)]
         rows = zip(*columns)
         lines.extend(",".join(_reference_fmt(v) for v in row) for row in rows)
-        _reference_write(path, "\n".join(lines) + "\n")
+        _reference_write(out, "\n".join(lines) + "\n")
         return
     payload = {"meta": cli._meta(run, config, cavity)}
     for name, column in zip(header, columns):
@@ -801,7 +807,7 @@ def _reference_emit_table(header, columns, run, config, cavity, out, fmt, normal
             v if isinstance(v, str) else (bool(v) if isinstance(v, (bool, np.bool_)) else float(v))
             for v in column
         ]
-    _reference_write(path, json.dumps(payload, indent=2) + "\n")
+    _reference_write(out, json.dumps(payload, indent=2) + "\n")
 
 
 def _reference_and_columnwise(monkeypatch, tmp_path, *argv):
@@ -857,10 +863,9 @@ def test_emitter_bytes_on_synthetic_table(tmp_path, capsys, fmt):
             assert str(payload["float"]) == str(columns[0].tolist())  # nan, inf, -0.0 spelled
             assert str(payload["float_codes"]) == str(columns[0].tolist())
             assert payload["label"] == columns[4].tolist()
-    # the last table again, to stdout: no --out and no [output] path
-    to_stdout = replace(run, output=replace(run.output, path=None))
+    # the last table again, to stdout: no --out
     capsys.readouterr()
-    cli._emit_table(header, columns, to_stdout, config, cavity, None, fmt)
+    cli._emit_table(header, columns, run, config, cavity, None, fmt)
     assert capsys.readouterr().out.encode("utf-8") == outputs[1]
 
 
@@ -1059,7 +1064,7 @@ def _reference_map(run, config, cavity, out, fmt):
     offsets = by_variable["offset_xi_lambda0"] * config.geometry.wavelength
     grid = st.regime_map(config, deltas, offsets, 2.0 * math.pi * run.physical.get("mech_freq_hz", 0.0))
     spring, damping = grid.spring.ravel(), grid.damping.ravel()
-    if run.output.normalize:
+    if run.normalize:
         spring, damping = (x / np.max(np.abs(x)) for x in (spring, damping))
     columns = [
         np.tile(deltas, offsets.size),
@@ -1301,7 +1306,7 @@ REFUSALS = [
     _refusal("duplicate_key", "cavity", "fig2c", (_add("wavelength_nm = 1064"),), 1,
              "ospring: parse error: line 5: duplicate key 'wavelength_nm' in [physical]"),
     _refusal("duplicate_section", "cavity", "fig2c", (_append("\n[physical]\n"),), 1,
-             "ospring: parse error: line 31: duplicate section [physical]"),
+             "ospring: parse error: line 29: duplicate section [physical]"),
     _refusal("no_physical", "cavity", "fig2c", (lambda text: text[text.index("[sweep]") :],), 2,
              "ospring: missing required section [physical]"),
     _refusal("spectrum_requires_a_sweep", "spectrum", "fig4a",

@@ -50,7 +50,7 @@ def test_reference_preset_resolves_to_si_values():
 def test_minimal_config_loads(tmp_path):
     run = rc.load_config(write(tmp_path, MINIMAL))
     assert run.sweeps == ()
-    assert run.output.fmt == "csv" and run.output.path is None
+    assert run.normalize is False
     assert run.oscillator() is None
     config, _ = run.interferometer()
     assert config.bs.asymmetry == 0.0  # default
@@ -118,6 +118,31 @@ def test_sweep_validation(tmp_path):
         rc.load_config(write(tmp_path, base.replace("stop = 2\n", "")))
 
 
+@pytest.mark.parametrize(
+    "start, stop, loads",
+    [
+        ("1e-200", "1e-190", True),  # the product of the endpoints underflows to 0
+        ("-1e-190", "-1e-200", True),
+        ("0", "1e-190", False),
+        ("-0.0", "2", False),
+        ("1e-190", "0", False),
+        ("-1e-200", "1e-190", False),
+        ("2", "-3", False),
+    ],
+)
+def test_log_sweep_endpoints_are_compared_by_sign(tmp_path, start, stop, loads):
+    text = MINIMAL + (
+        f"\n[sweep]\nvariable = omega_rad_s\nstart = {start}\nstop = {stop}\npoints = 5\nscale = log\n"
+    )
+    if not loads:
+        with pytest.raises(rc.ValidationError) as err:
+            rc.load_config(write(tmp_path, text))
+        assert str(err.value) == "log sweep in [sweep] needs nonzero same-sign endpoints"
+        return
+    grid = rc.load_config(write(tmp_path, text)).sweeps[0].grid()
+    assert grid.tobytes() == np.geomspace(float(start), float(stop), 5).tobytes()
+
+
 @pytest.mark.parametrize("variable", list(rc.SWEEP_VARIABLES))
 def test_sweep_grid_is_the_file_grid_times_its_unit(tmp_path, variable):
     text = MINIMAL.replace("detuning_over_gamma = 0.0", "detuning_over_gamma = -0.8")
@@ -148,15 +173,15 @@ def test_sweep2_requires_sweep(tmp_path):
 
 
 def test_output_block(tmp_path):
-    good = MINIMAL + "\n[output]\npath = out.csv\nformat = json\nnormalize = true\n"
-    run = rc.load_config(write(tmp_path, good))
-    assert run.output.path == "out.csv"
-    assert run.output.fmt == "json"
-    assert run.output.normalize is True
-    with pytest.raises(rc.ValidationError, match="format"):
-        rc.load_config(write(tmp_path, good.replace("format = json", "format = xml")))
+    good = MINIMAL + "\n[output]\nnormalize = true\n"
+    assert rc.load_config(write(tmp_path, good)).normalize is True
     with pytest.raises(rc.ValidationError, match="normalize"):
         rc.load_config(write(tmp_path, good.replace("normalize = true", "normalize = 1")))
+    # the command line alone sets the destination and the format
+    for line in ("path = out.csv", "format = json"):
+        with pytest.raises(rc.ValidationError) as err:
+            rc.load_config(write(tmp_path, f"{good}{line}\n"))
+        assert str(err.value) == f"unknown key '{line.split()[0]}' in [output]"
 
 
 # every section with a valid value per key; FAULTS names, per section, a key
@@ -165,7 +190,7 @@ SECTIONS = {
     "physical": dict(line.split(" = ") for line in MINIMAL.strip().splitlines()[1:]),
     "sweep": {"variable": "detuning_over_gamma", "start": "-2", "stop": "2", "points": "11"},
     "sweep2": {"variable": "offset_xi_lambda0", "start": "0.001", "stop": "0.01", "points": "3"},
-    "output": {"format": "json", "normalize": "true"},
+    "output": {"normalize": "true"},
 }
 FAULTS = {
     "physical": ("input_power_mw", "twenty", "arm_length_m"),
@@ -205,9 +230,9 @@ def test_every_section_states_its_faults_alike(tmp_path, section):
 @pytest.mark.parametrize("section", FAULTS)
 def test_invalid_value_is_reported_before_missing_keys_and_value_checks(tmp_path, section):
     # one fault order per section: the keys in file order, unknown or invalid,
-    # then the missing keys, then the section's own checks ([output]'s csv|json)
+    # then the missing keys, then the section's own checks ([output] has neither)
     key, invalid, required = FAULTS[section]
-    later = {required: None} if required is not None else {"format": "xml"}
+    later = {required: None} if required is not None else {}
     with pytest.raises(rc.ValidationError) as err:
         load_edited(tmp_path, section, **{key: invalid}, **later)
     assert str(err.value).startswith(f"invalid value for key '{key}' in [{section}]: ")
