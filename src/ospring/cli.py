@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 I/O or parse errors, 2 validation failures, such as a
 sweep whose kind :func:`_single_sweep` refuses (``backaction --method freemass``
 takes only detunings) or ``stability`` without ``mass_kg``.
+``darkport`` and ``cavity`` print named rows of the JSON ``meta`` block (same
+keys, same values) as ``<key> = <value>`` lines, ``darkport`` adding
+``arm_imbalance_m`` and ``tau_residual`` (:func:`cmd_point`).
 ``validate`` prints a line per check of ``checks.CHECKS``: its verdict, its name
 and its parts, each ``<residual> <= <bound>`` (``>`` where it fails), joined by ``; ``.
 Errors and the warnings a run raises go to stderr as ``ospring: <error>``
@@ -210,32 +213,24 @@ def _single_sweep(run: RunConfig, kinds) -> SweepSpec:
     return sweep
 
 
-def cmd_darkport(run: RunConfig, config, cavity, args) -> int:
-    geom = config.geometry
-    offset_dp = cav.dark_port_offset(
-        config.membrane, config.bs, geom.wavelength, config.dark_port_index
-    )
-    lines = [
-        f"dark_port_offset_m = {_fmt(offset_dp)}",
-        f"offset_m = {_fmt(config.offset)}",
-        f"arm_imbalance_m = {_fmt(offset_dp + config.offset)}",
-        f"tau_residual = {_fmt(checks.dark_port(config, cavity)[0][0])}",
-    ]
-    _write_lines(args.out, lines)
-    return 0
+# the rows of the operating point that each text subcommand prints, in its order
+_POINT_ROWS = {
+    "darkport": ("dark_port_offset_m", "offset_m", "arm_imbalance_m", "tau_residual"),
+    "cavity": (
+        "total_detuning_rad_s", "srm_detuning_rad_s", "membrane_detuning_rad_s",
+        "half_linewidth_rad_s", "half_linewidth_exact_rad_s",
+        "srm_half_linewidth_rad_s", "membrane_half_linewidth_rad_s",
+    ),
+}
 
 
-def cmd_cavity(run: RunConfig, config, cavity, args) -> int:
-    lines = [
-        f"total_detuning_rad_s = {_fmt(cavity.detuning)}",
-        f"srm_detuning_rad_s = {_fmt(cavity.srm_detuning)}",
-        f"membrane_detuning_rad_s = {_fmt(cavity.membrane_detuning)}",
-        f"half_linewidth_rad_s = {_fmt(cavity.half_linewidth)}",
-        f"half_linewidth_exact_rad_s = {_fmt(cavity.half_linewidth_exact)}",
-        f"srm_half_linewidth_rad_s = {_fmt(cavity.srm_half_linewidth)}",
-        f"membrane_half_linewidth_rad_s = {_fmt(cavity.membrane_half_linewidth)}",
-    ]
-    _write_lines(args.out, lines)
+def cmd_point(run: RunConfig, config, cavity, args) -> int:
+    """``darkport`` and ``cavity``: their ``_POINT_ROWS`` of the JSON ``meta``
+    block, plus the arm imbalance and the dark port's cross-coupling residual."""
+    point = _meta(run, config, cavity)
+    point["arm_imbalance_m"] = point["dark_port_offset_m"] + point["offset_m"]
+    point["tau_residual"] = checks.dark_port(config, cavity)[0][0]
+    _write_lines(args.out, [f"{key} = {_fmt(point[key])}" for key in _POINT_ROWS[args.command]])
     return 0
 
 
@@ -339,8 +334,8 @@ def cmd_validate(run: RunConfig, config, cavity, args) -> int:
 
 
 HANDLERS = {
-    "darkport": cmd_darkport,
-    "cavity": cmd_cavity,
+    "darkport": cmd_point,
+    "cavity": cmd_point,
     "spectrum": cmd_spectrum,
     "backaction": cmd_backaction,
     "stability": cmd_stability,

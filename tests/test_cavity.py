@@ -301,6 +301,27 @@ def test_narrowband_warning_for_fat_linewidth(geometry):
         cav.effective_cavity(config)
 
 
+def test_narrowband_warning_starts_above_its_bound(geometry):
+    # the warning says "exceeds 0.1": sr_power_transmissivity = 0.1 gives
+    # T_sr^2 = 0.1 exactly, which is quiet, and a float above it warns
+    def messages(power_transmissivity):
+        config = InterferometerConfig(
+            geometry=geometry,
+            membrane=MirrorParams.from_power_reflectivity(1.0),
+            srm=MirrorParams.from_power_transmissivity(power_transmissivity),
+            bs=BeamsplitterParams(0.0),
+            input_power=0.1,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cav.effective_cavity(config)
+        return [str(warning.message) for warning in caught]
+
+    assert MirrorParams.from_power_transmissivity(0.1).transmissivity ** 2 == cav.NARROWBAND_WARN
+    assert messages(0.1) == []
+    assert len(messages(0.10000000000000003)) == 1
+
+
 def test_offset_warning_beyond_eighth_wave(geometry):
     with pytest.warns(UserWarning):
         InterferometerConfig(

@@ -174,6 +174,47 @@ def test_darkport_and_cavity_output(tmp_path):
     assert values["half_linewidth_rad_s"] == pytest.approx(2 * math.pi * 133e3, rel=0.02)
 
 
+def _reference_point_rows(config, cavity):
+    """The rows ``darkport`` and ``cavity`` printed from their own field lists,
+    before both read the JSON ``meta`` block, in their order."""
+    geom = config.geometry
+    offset_dp = cav.dark_port_offset(
+        config.membrane, config.bs, geom.wavelength, config.dark_port_index
+    )
+    darkport = [
+        ("dark_port_offset_m", offset_dp),
+        ("offset_m", config.offset),
+        ("arm_imbalance_m", offset_dp + config.offset),
+        ("tau_residual", checks.dark_port(config, cavity)[0][0]),
+    ]
+    cavity_rows = [
+        ("total_detuning_rad_s", cavity.detuning),
+        ("srm_detuning_rad_s", cavity.srm_detuning),
+        ("membrane_detuning_rad_s", cavity.membrane_detuning),
+        ("half_linewidth_rad_s", cavity.half_linewidth),
+        ("half_linewidth_exact_rad_s", cavity.half_linewidth_exact),
+        ("srm_half_linewidth_rad_s", cavity.srm_half_linewidth),
+        ("membrane_half_linewidth_rad_s", cavity.membrane_half_linewidth),
+    ]
+    return {"darkport": darkport, "cavity": cavity_rows}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_darkport_and_cavity_print_rows_of_the_meta_block(capsys, name):
+    run = load_config(preset_path(name))
+    config, cavity = run.interferometer()
+    meta = cli._meta(run, config, cavity)
+    for command, rows in _reference_point_rows(config, cavity).items():
+        assert run_cli(command, "--config", preset_path(name)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # every line keeps the bits and the place its own field list gave it
+        assert lines == [f"{key} = {_reference_fmt(value)}" for key, value in rows]
+        # and each row that the JSON meta block holds reads the same there
+        shared = rows[:2] if command == "darkport" else rows
+        for line, (key, _) in zip(lines, shared):
+            assert line == f"{key} = {cli._fmt(meta[key])}"
+
+
 @pytest.mark.parametrize("command", list(cli.HANDLERS))
 def test_every_subcommand_writes_to_out_or_stdout(monkeypatch, tmp_path, capsys, command):
     # fig2d, with a frequency sweep for spectrum and an offset axis for map
@@ -1107,7 +1148,13 @@ def test_emitter_bytes_on_map(tmp_path, offsets, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "key, value",
-    [("mass_kg", "-1"), ("mass_kg", "0"), ("mech_freq_hz", "-133000"), ("mech_damping_hz", "-5")],
+    [
+        ("mass_kg", "-1"),
+        ("mass_kg", "0"),
+        ("mech_freq_hz", "-133000"),
+        ("mech_damping_hz", "-5"),
+        ("mech_damping_hz", "-0.5"),
+    ],
 )
 def test_mechanical_keys_are_validated_in_every_format(tmp_path, capsys, key, value, fmt):
     text = Path(preset_path("fig2c")).read_text()
@@ -1239,6 +1286,20 @@ def test_warning_line_follows_an_error(tmp_path):
     )
 
 
+def test_a_warning_raised_twice_is_stated_once(monkeypatch, capsys):
+    # the same message from two source lines is two records, and one stderr line
+    def handler(run, config, cavity, args):
+        warnings.warn("twice over", UserWarning)
+        warnings.warn("twice over", UserWarning)
+        return 0
+
+    monkeypatch.setitem(cli.HANDLERS, "cavity", handler)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run_cli("cavity", "--config", preset_path("fig2c")) == 0
+    assert capsys.readouterr().err == "ospring: warning: twice over\n"
+
+
 def _set(key, value):
     """An edit of a preset's text that sets its one ``key = ...`` line to ``value``."""
 
@@ -1268,6 +1329,10 @@ def _refusal(name, argv, preset, edits, code, line, out="out"):
 # a lossless recycling mirror with the membrane on its node: gamma = 0
 ZERO_LINEWIDTH = (_set("sr_power_transmissivity", "0"), _set("offset_xi_lambda0", "0"))
 ZERO_OFFSETS = "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = 0\nstop = 0\npoints = 3\n"
+# a lossless recycling mirror and three offset rows about the node: gamma = 0 on the middle one
+NODE_OFFSETS = (
+    "\n[sweep2]\nvariable = offset_xi_lambda0\nstart = -0.001\nstop = 0.001\npoints = 3\n"
+)
 SWEEP2_DETUNING = "\n[sweep2]\nvariable = detuning_rad_s\nstart = -1e6\nstop = 1e6\npoints = 3\n"
 NO_LINEWIDTH = "ospring: the narrow-band laws need a positive half-linewidth"
 NO_FREQUENCY = (
@@ -1312,6 +1377,8 @@ REFUSALS = [
     _refusal("spectrum_requires_a_sweep", "spectrum", "fig4a",
              (lambda text: text[: text.index("[sweep]")],), 2,
              "ospring: this subcommand needs exactly one [sweep] section"),
+    _refusal("backaction_two_sweeps", "backaction", "fig2c", (_append(MAP_OFFSETS),), 2,
+             "ospring: this subcommand needs exactly one [sweep] section"),
     _refusal("map_one_sweep", "map", "fig3d", (), 2,
              "ospring: the map subcommand needs [sweep] and [sweep2] sections"),
     _refusal("map_two_detunings", "map", "fig3d", (_append(SWEEP2_DETUNING),), 2,
@@ -1329,6 +1396,7 @@ REFUSALS = [
             ("missing", (), NO_FREQUENCY),
             ("0", (_add("mech_freq_hz = 0"),), NO_FREQUENCY),
             ("-5", (_add("mech_freq_hz = -5"),), NEGATIVE_FREQUENCY.format(value="-5")),
+            ("-0.5", (_add("mech_freq_hz = -0.5"),), NEGATIVE_FREQUENCY.format(value="-0.5")),
         ]
     ),
     *(
@@ -1352,6 +1420,11 @@ REFUSALS = [
     *(
         _refusal(f"zero_linewidth_map-{fmt}", f"map --format {fmt}", "fig2c",
                  (*ZERO_LINEWIDTH, _append(ZERO_OFFSETS)), 2, NO_LINEWIDTH)
+        for fmt in ("csv", "json")
+    ),
+    *(
+        _refusal(f"zero_linewidth_map_row-{fmt}", f"map --format {fmt}", "fig2c",
+                 (ZERO_LINEWIDTH[0], _append(NODE_OFFSETS)), 2, NO_LINEWIDTH)
         for fmt in ("csv", "json")
     ),
     _refusal("spectrum_out", "spectrum", "fig4a", (), 1, IO_ERROR, out="absent/out"),

@@ -143,8 +143,9 @@ def test_asymmetry_continuous_at_zero_frequency(narrow_config):
 
 
 def test_asymmetry_rejects_nonpositive_frequency(narrow_config):
-    with pytest.raises(ValueError):
-        noi.spectral_asymmetry(narrow_config, -1.0)
+    for omega in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            noi.spectral_asymmetry(narrow_config, omega)
 
 
 def test_asymmetry_sign_matches_damping(narrow_config):
