@@ -11,7 +11,9 @@ and its parts, each ``<residual> <= <bound>`` (``>`` where it fails), joined by 
 Errors and the warnings a run raises go to stderr as ``ospring: <error>``
 and ``ospring: warning: <message>``, each distinct warning once.
 CSV contract: comma separator, dot decimal, LF line endings, UTF-8, one
-header row, shortest round-trip float formatting.  JSON output mirrors the
+header row, shortest round-trip float formatting.  Every float, in a table
+or a text line, is ``float.__repr__``'s bytes, formed from orjson's digits
+(:func:`_float_cells`).  JSON output mirrors the
 CSV columns as arrays next to a ``meta`` block with the resolved SI
 parameters, laid out exactly as ``json.dumps(indent=2)`` would write it: one
 array element per line, non-finite floats spelled ``NaN``/``Infinity``/
@@ -36,12 +38,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from . import backaction as ba
 from . import cavity as cav
@@ -53,12 +57,50 @@ from .runconfig import (
 )
 
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _BLOCK = 1024  # table rows formatted, then written, at a time
+_NON_FINITE = {False: ("nan", "inf", "-inf"), True: ("NaN", "Infinity", "-Infinity")}
+# orjson writes the shortest round-trip digits that float.__repr__ does, laid
+# out otherwise in three ranges: 1e16 for 1e+16, 1e-7 for 1e-07 and, in
+# [1e-5, 1e-4), 0.0000123 for 1.23e-05 (and null for every non-finite value)
+_POSITIVE_EXPONENT = re.compile(r"e(?=\d)")
+
+
+def _fifth_place(cell: str) -> str:
+    """repr's layout of orjson's ``0.0000123`` or ``-0.0000123``."""
+    sign, _, digits = cell.partition("0.0000")
+    return f"{sign}{digits[0]}.{digits[1:]}e-05" if len(digits) > 1 else f"{sign}{digits}e-05"
+
+
+def _float_cells(arr: np.ndarray, as_json: bool) -> list[str]:
+    """``float.__repr__`` of each element of a float64 array, formed from
+    orjson's output, with non-finite values spelled as ``json`` spells them
+    when ``as_json``.  Each rewrite runs only where the array holds a value of
+    its range: on the whole text for the common one-digit exponents, cell by
+    cell for the rest."""
+    if not arr.size:
+        return []
+    text = orjson.dumps(np.ascontiguousarray(arr), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    magnitude = np.abs(arr)
+    if (magnitude >= 1e16).any():
+        text = _POSITIVE_EXPONENT.sub("e+", text)
+    exponent = (magnitude > 0.0) & (magnitude < 1e-5)
+    if exponent.any():
+        text = text.replace("e-", "e-0")  # right for -6 to -9; below -9 undone per cell
+    cells = text[1:-1].split(",")
+    for i in np.flatnonzero(exponent & (magnitude < 1e-9)).tolist():
+        cells[i] = cells[i].replace("e-0", "e-")
+    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
+        cells[i] = _fifth_place(cells[i])
+    finite = np.isfinite(arr)
+    if not finite.all():
+        nan, inf, minus_inf = _NON_FINITE[as_json]
+        for i in np.flatnonzero(~finite).tolist():
+            cells[i] = nan if np.isnan(arr[i]) else inf if arr[i] > 0.0 else minus_inf
+    return cells
 
 
 def _fmt(value) -> str:
-    return repr(float(value))
+    return _float_cells(np.array([value], dtype=np.float64), False)[0]
 
 
 def _open(path: str | None):
@@ -110,10 +152,7 @@ def _cells(arr: np.ndarray, as_json: bool) -> list[str]:
         return ["true" if v else "false" for v in arr.tolist()]
     if kind == "U":
         return list(map(encode_basestring_ascii, arr.tolist())) if as_json else arr.tolist()
-    cells = list(map(float.__repr__, arr.tolist()))
-    if as_json and not np.isfinite(arr).all():
-        cells = [_JSON_NON_FINITE.get(text, text) for text in cells]
-    return cells
+    return _float_cells(arr, as_json)
 
 
 def _blocks(column, as_json: bool, peak=None):

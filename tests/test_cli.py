@@ -823,6 +823,41 @@ def _reference_fmt(value) -> str:
     return str(value)
 
 
+def _contract_values():
+    """Seeded random float64 bit patterns (every sign, exponent and payload)
+    and the edges of orjson's layouts: each side of 1e-9, 1e-5, 1e-4 and 1e16,
+    exponents -6 to -9, the extremes, signed zeros and non-finite values."""
+    rng = np.random.default_rng(37)
+    edges = [5e-324, -5e-324, 0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308,
+             np.nan, np.inf, -np.inf]
+    edges += [m * 10.0**e for e in (-6, -7, -8, -9) for m in (1.0, 2.5, 9.999999999999999)]
+    for edge in (1e-9, 1e-5, 1e-4, 1e16):
+        below, above = np.full(40, edge), np.full(40, edge)
+        for i in range(1, 40):
+            below[i], above[i] = np.nextafter(below[i - 1], 0.0), np.nextafter(above[i - 1], np.inf)
+        edges += [*below, *above[1:]]
+    edges = np.array(edges + [-x for x in edges])
+    sweep = 10.0 ** rng.uniform(-11.0, 18.0, 10**5)  # every decimal exponent around the edges
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+    return edges, np.concatenate([edges, sweep, -sweep, bits])
+
+
+def test_float_cells_are_float_repr():
+    # float.__repr__, with json's spelling of nan and inf in JSON, is the
+    # byte contract; orjson's float writer must give the same digits
+    in_json = {text: json.dumps(float(text)) for text in ("nan", "inf", "-inf")}
+    edges, values = _contract_values()
+    texts = list(map(float.__repr__, values.tolist()))
+    assert cli._float_cells(values, False) == texts
+    assert cli._float_cells(values, True) == [in_json.get(text, text) for text in texts]
+    for value in edges.tolist():  # one-element blocks: each gate on its own value
+        text = repr(value)
+        assert cli._float_cells(np.array([value]), False) == [text], value
+        assert cli._float_cells(np.array([value]), True) == [in_json.get(text, text)], value
+    assert cli._float_cells(np.array([]), False) == cli._float_cells(np.array([]), True) == []
+    assert cli._fmt(np.float64(1e-7)) == "1e-07" and cli._fmt(2) == "2.0"
+
+
 def _reference_emit_table(header, columns, run, config, cavity, out, fmt, normalized=()):
     columns = [  # each categorical column spelled out in full
         np.asarray(c.categories)[np.ravel(c.codes)] if isinstance(c, cli._Categorical) else c
@@ -866,11 +901,12 @@ def _reference_and_columnwise(monkeypatch, tmp_path, *argv):
 
 
 def _synthetic_table(rows):
-    """Columns of every kind ``_emit_table`` takes, whose twelve-row pattern
-    of awkward values straddles the first block edge, six rows each side,
-    and the same table with each categorical column spelled out."""
-    pattern = (np.arange(rows) - (cli._BLOCK - 6)) % 12
-    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5])
+    """Columns of every kind ``_emit_table`` takes, whose fifteen-row pattern
+    of awkward values straddles the first block edge, six rows before it and
+    nine after, and the same table with each categorical column spelled out."""
+    pattern = (np.arange(rows) - (cli._BLOCK - 6)) % 15
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 0.1, -0.0, 1e16, 2.5,
+                       1.5e-05, -2.5e-07, 1e+300])
     labels = np.array(["cooling", "heating", 'say "hi"', "héating", "neutral", "stable_spring"] * 2,
                       dtype="U15")
     header = ["float", "strided", "np_bool", "py_bool", "label", "float_codes", "label_codes"]
@@ -879,7 +915,7 @@ def _synthetic_table(rows):
         (np.linspace(-1.0, 1.0, rows) * (1.0 - 2.0j)).imag,  # non-contiguous view
         pattern % 3 == 0,
         [i % 2 == 0 for i in pattern.tolist()],
-        labels[pattern],
+        labels[pattern % 12],
         cli._Categorical(floats, pattern.astype(np.uint8)),
         cli._Categorical(list(labels[:6]), np.broadcast_to(pattern[:, None] % 6, (rows, 1))),
     ]
